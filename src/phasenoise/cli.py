@@ -407,8 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_errors)
 
     p = sub.add_parser("sir", help="Monte-Carlo SIR sweep vs the closed form")
-    p.add_argument("--sweep-rho", default=None, metavar="LO:HI[:N]")
-    p.add_argument("--rho", default=None, help="comma list of rho values")
+    rho = p.add_mutually_exclusive_group(required=True)
+    rho.add_argument("--sweep-rho", default=None, metavar="LO:HI[:N]")
+    rho.add_argument("--rho", default=None, help="comma list of rho values")
     p.add_argument("--rolloffs", default="0.05,0.1,0.5")
     p.add_argument("--osf", type=int, default=5)
     p.add_argument("--ts", type=float, default=1e-7)

@@ -3,7 +3,9 @@
 Linear modulation with root-raised-cosine shaping, multiplicative phase
 noise applied either on the oversampled (continuous-time surrogate)
 waveform or directly on the symbol-rate samples, matched filtering,
-pilot-aided phase tracking, and SIR/EVM/BER/SER measurement.
+pilot-aided phase tracking, and SIR/EVM/BER/SER measurement.  Shaping,
+matched filter and direct-path gain are polyphase FIRs (``upfirdn``)
+evaluated only at the samples the link consumes.
 
 Conventions: unit average symbol energy, symbol period normalized inside
 the signal chain, complex AWGN with total post-matched-filter variance
@@ -16,10 +18,10 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.signal import upfirdn
 
 from .params import CompositeModel, OscillatorParams, as_composite
 from .timegen import gen_composite, member_seed
@@ -69,16 +71,11 @@ class Constellation:
             bits = np.empty((n, 2), dtype=np.int64)
             bits[:, 0] = symbols.real < 0
             bits[:, 1] = symbols.imag < 0
-            dec = self._levels[bits[:, 0]] + 1j * self._levels[bits[:, 1]]
-            return bits, dec
+            return bits, self.map_bits(bits)
         bits = np.empty((n, 4), dtype=np.int64)
-        bi, bl = self._decide_axis(symbols.real)
-        bits[:, 0], bits[:, 1] = bi, bl
-        qi, ql = self._decide_axis(symbols.imag)
-        bits[:, 2], bits[:, 3] = qi, ql
-        dec = (self._axis[2 * bits[:, 0] + bits[:, 1]]
-               + 1j * self._axis[2 * bits[:, 2] + bits[:, 3]])
-        return bits, dec
+        bits[:, 0], bits[:, 1] = self._decide_axis(symbols.real)
+        bits[:, 2], bits[:, 3] = self._decide_axis(symbols.imag)
+        return bits, self.map_bits(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +113,7 @@ def rrc_taps(rolloff: float, span_symbols: int = 32, osf: int = 5) -> np.ndarray
                        + 4.0 * rolloff * ti * math.cos(math.pi * ti * (1.0 + rolloff)))
                 den = math.pi * ti * (1.0 - (4.0 * rolloff * ti) ** 2)
                 h[i] = num / den
-    half = h[: n // 2]
-    h[n // 2 + 1:] = half[::-1]  # enforce exact symmetry
+    h[(n + 1) // 2:] = h[: n // 2][::-1]  # enforce exact symmetry
     return h / math.sqrt(np.sum(h * h) / osf)
 
 
@@ -194,12 +190,24 @@ class LinkConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "LinkConfig":
-        d = json.loads(text)
+        d = _json_fields(json.loads(text), cls, "link config", extra=("version",))
         d.pop("version", None)
         model = d.pop("pn_model", None)
         if model is not None:
-            model = CompositeModel(tuple(OscillatorParams(**p) for p in model))
+            model = CompositeModel(tuple(
+                OscillatorParams(**_json_fields(p, OscillatorParams, "pn_model member"))
+                for p in model))
         return cls(pn_model=model, **d)
+
+
+def _json_fields(obj, cls, what: str, extra: tuple = ()) -> dict:
+    """``obj`` if it is a JSON object whose keys are fields of ``cls`` or ``extra``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)} - set(extra))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -364,8 +372,14 @@ def _sub_rng(seed: int, purpose: int) -> np.random.Generator:
 
 
 def _complex_awgn(rng: np.random.Generator, n: int, variance: float) -> np.ndarray:
-    s = math.sqrt(variance / 2.0)
-    return rng.normal(0.0, s, n) + 1j * rng.normal(0.0, s, n)
+    w = rng.standard_normal(2 * n).view(complex)
+    w *= math.sqrt(variance / 2.0)
+    return w
+
+
+def _fir(taps: np.ndarray, x: np.ndarray, up: int = 1, down: int = 1) -> np.ndarray:
+    """Real-tap polyphase FIR of a complex signal: upsample, filter, decimate."""
+    return upfirdn(taps, x.real, up, down) + 1j * upfirdn(taps, x.imag, up, down)
 
 
 def simulate_link(cfg: LinkConfig) -> LinkStats:
@@ -393,37 +407,26 @@ def simulate_link(cfg: LinkConfig) -> LinkStats:
     pn_seed = member_seed(cfg.seed, _SEED_PN)
 
     noise_power = 0.0 if esn0 is None else 1.0 / esn0
-    unwrap_flags = 0
-    g0 = None
 
     if cfg.pn_mode == "dt":
         theta = gen_composite(cfg.pn_model, cfg.ts, layout.n_tx, pn_seed).samples
-        y = tx_seq * np.exp(1j * theta)
-        if esn0 is not None:
-            y = y + _complex_awgn(awgn_rng, layout.n_tx, 1.0 / esn0)
         g0 = np.exp(1j * theta)
+        y = tx_seq * g0
+        if esn0 is not None:
+            y += _complex_awgn(awgn_rng, layout.n_tx, 1.0 / esn0)
     else:
         y, g0 = _simulate_ct(cfg, tx_seq, layout, awgn_rng, pn_seed, esn0)
 
     # SIR on the untracked matched-filter output
-    if g0 is not None:
-        sir_db, sir_se = measure_sir(tx_seq[layout.info_positions],
-                                     y[layout.info_positions],
-                                     direct_gain=g0[layout.info_positions],
-                                     noise_power=noise_power,
-                                     min_symbols=min(cfg.n_symbols, 10_000))
-        power_loss = float(np.mean(np.abs(g0[layout.info_positions]) ** 2))
-    else:
-        sir_db, sir_se = measure_sir(tx_seq[layout.info_positions],
-                                     y[layout.info_positions],
-                                     noise_power=noise_power,
-                                     min_symbols=min(cfg.n_symbols, 10_000))
-        power_loss = 1.0
+    info = layout.info_positions
+    sir_db, sir_se = measure_sir(tx_seq[info], y[info],
+                                 direct_gain=None if g0 is None else g0[info],
+                                 noise_power=noise_power,
+                                 min_symbols=min(cfg.n_symbols, 10_000))
+    power_loss = 1.0 if g0 is None else float(np.mean(np.abs(g0[info]) ** 2))
 
-    if cfg.pilot_len > 0:
-        y, _phi, unwrap_flags = pilot_phase_track(y, layout, pilot_syms)
-
-    y_info = y[layout.info_positions]
+    y, _phi, unwrap_flags = pilot_phase_track(y, layout, pilot_syms)
+    y_info = y[info]
     evm = float(math.sqrt(np.mean(np.abs(y_info - info_syms) ** 2)
                           / np.mean(np.abs(info_syms) ** 2)))
     bits_hat, syms_hat = const.decide(y_info)
@@ -443,29 +446,25 @@ def _simulate_ct(cfg: LinkConfig, tx_seq: np.ndarray, layout: PilotLayout,
     """Oversampled chain; returns symbol-rate output and direct-path gain."""
     osf = cfg.osf
     h = rrc_taps(cfg.rolloff, cfg.filter_span, osf)
-    ntaps = h.size
     span = cfg.filter_span
 
     # pad with extra symbols so every real symbol has full filter support
     pad_rng = _sub_rng(cfg.seed, _SEED_PAD)
-    qpsk = Constellation("qpsk")
-    pads = qpsk.map_bits(pad_rng.integers(0, 2, (2 * span, 2)))
+    pads = Constellation("qpsk").map_bits(pad_rng.integers(0, 2, (2 * span, 2)))
     seq = np.concatenate([pads[:span], tx_seq, pads[span:]])
-
-    up = np.zeros(seq.size * osf, dtype=complex)
-    up[::osf] = seq
-    tx_wave = fftconvolve(up, h.astype(complex))
+    tx_wave = _fir(h, seq, up=osf)
+    # receive filters output symbol instants only; real symbol i peaks at
+    # 2*span + i (span pad symbols plus the span-symbol delay of h * h)
+    instants = slice(2 * span, 2 * span + layout.n_tx)
 
     g0 = None
     if cfg.pn_mode == "ct":
-        theta = gen_composite(cfg.pn_model, cfg.ts / osf, tx_wave.size, pn_seed).samples
-        tx_wave = tx_wave * np.exp(1j * theta)
-        # direct-path gain: phasor convolved with the squared pulse
-        pp = h * h / osf
-        g0_full = fftconvolve(np.exp(1j * theta), pp)
-        g0 = g0_full[(span + np.arange(layout.n_tx)) * osf + (ntaps - 1)]
+        phasor = np.exp(1j * gen_composite(cfg.pn_model, cfg.ts / osf, tx_wave.size,
+                                           pn_seed).samples)
+        tx_wave *= phasor
+        # direct-path gain: phasor filtered by the squared pulse
+        g0 = _fir(h * h / osf, phasor, down=osf)[instants]
     if esn0 is not None:
-        tx_wave = tx_wave + _complex_awgn(awgn_rng, tx_wave.size, osf / esn0)
-    y_wave = fftconvolve(tx_wave, h.astype(complex)) / osf
-    y = y_wave[(span + np.arange(layout.n_tx)) * osf + (ntaps - 1)]
+        tx_wave += _complex_awgn(awgn_rng, tx_wave.size, osf / esn0)
+    y = _fir(h / osf, tx_wave, down=osf)[instants]
     return y, g0

@@ -157,9 +157,11 @@ def pulse_gammas(pulse: np.ndarray, ov: int, rho: float, nlag: int) -> np.ndarra
 
     gamma_l = integral |F{p(z) p(z - l Ts)}(f)|^2 S_h(f) df with the
     free-running phasor Lorentzian S_h; pulse sampled at ov points per
-    symbol with unit energy.  The Lorentzian is integrated exactly per
-    frequency bin (atan masses), so narrow peaks are captured on a
-    coarse grid; |Q| only needs to be smooth across a bin.
+    symbol with unit energy.  The phasor is sampled at ov per symbol too,
+    so S_h is the Lorentzian folded at multiples of ov.  It is integrated
+    exactly per frequency bin with the folded antiderivative
+    atan(tan(pi f/ov) / tanh(pi rho/ov)) / pi, so narrow peaks are
+    captured on a coarse grid; |Q| only needs to be smooth across a bin.
     """
     dt = 1.0 / ov
     p0 = pulse / math.sqrt(np.sum(pulse * pulse) * dt)
@@ -169,13 +171,36 @@ def pulse_gammas(pulse: np.ndarray, ov: int, rho: float, nlag: int) -> np.ndarra
     p[: p0.size] = p0
     freqs = np.fft.rfftfreq(n, d=dt)
     df = freqs[1] - freqs[0]
-    # two-sided mass of S_h inside each one-sided bin
-    edges = np.concatenate([[0.0], freqs + df / 2.0])
-    cdf = np.arctan(edges / rho) / math.pi
-    mass = 2.0 * np.diff(cdf)
+    # two-sided mass of S_h inside each one-sided bin; edges end at ov/2
+    edges = np.minimum(np.concatenate([[0.0], freqs + df / 2.0]), ov / 2.0)
+    mass = 2.0 * np.diff(np.arctan(np.tan(np.pi * edges / ov)
+                                   / math.tanh(math.pi * rho / ov))) / math.pi
     g = np.zeros(nlag + 1)
     for lag in range(nlag + 1):
         q = p * np.roll(p, lag * ov)
         qf = np.fft.rfft(q) * dt
         g[lag] = float(np.sum(np.abs(qf) ** 2 * mass))
     return g
+
+
+def oversampled_chain(seq: np.ndarray, taps: np.ndarray, osf: int, theta: np.ndarray,
+                      n_pad: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full-length reference of the oversampled link chain (no AWGN).
+
+    Zero-stuffs ``seq`` by osf, shapes it with the real ``taps``, applies
+    the phasor exp(j*theta) (theta covers the whole shaped waveform),
+    matched-filters, and returns the outputs at the peaks of the
+    ``n_out`` symbols that follow ``n_pad`` leading pad symbols, together
+    with the direct-path gain (phasor filtered by taps^2/osf) there.
+    Every convolution is the plain full-length ``np.convolve``.
+    """
+    up = np.zeros(seq.size * osf, dtype=complex)
+    up[::osf] = seq
+    wave = np.convolve(up, taps)
+    if theta.size != wave.size:
+        raise ValueError("theta must cover the full shaped waveform")
+    phasor = np.exp(1j * theta)
+    y_full = np.convolve(wave * phasor, taps) / osf
+    g0_full = np.convolve(phasor, taps * taps / osf)
+    peaks = (n_pad + np.arange(n_out)) * osf + taps.size - 1
+    return y_full[peaks], g0_full[peaks]

@@ -179,7 +179,7 @@ class TestSirForPulse:
             g = oracles.pulse_gammas(rrc_taps(rolloff, span, 5), 5, r, span)
             want = 10 * math.log10(g[0] / (2.0 * g[1:].sum()))
             got = 10 * math.log10(sir_for_pulse(rolloff, r, span, 5))
-            assert got == pytest.approx(want, abs=0.2), (r, rolloff, span)
+            assert got == pytest.approx(want, abs=0.02), (r, rolloff, span)
 
     def test_sinc_limit(self):
         # roll-off 0 is the truncated sinc: the gap to the ideal-sinc

@@ -38,6 +38,35 @@ class TestExitCodes:
         assert code == 1
         assert "model required" in err
 
+    def test_sir_without_rho_is_usage_error(self, capsys):
+        code, _, err = run_capture(capsys, ["sir", "--n-symbols", "20000"])
+        assert code == 2
+        assert "--rho" in err and "Traceback" not in err
+
+    def test_sir_rho_options_exclusive(self, capsys):
+        code, _, err = run_capture(capsys, ["sir", "--rho", "1e-3",
+                                            "--sweep-rho", "1e-4:1e-2"])
+        assert code == 2
+        assert "Traceback" not in err
+
+    def test_config_unknown_key_is_1(self, capsys, tmp_path):
+        from phasenoise import LinkConfig
+        model = OscillatorParams(f3db=0.0, l100_sq=1e-9)
+        good = json.loads(LinkConfig(n_symbols=20000, pn_mode="dt", pn_model=model).to_json())
+        member = dict(good["pn_model"][0], f3dB=1.0)
+        for doc, msg in (
+                (dict(good, bogus=1, esn0=3), "unknown link config keys: bogus, esn0"),
+                (dict(good, pn_model=[member]), "unknown pn_model member keys: f3dB"),
+                ([1], "link config must be a JSON object"),
+                (dict(good, pn_model=[1]), "pn_model member must be a JSON object")):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run_capture(capsys, ["ber", "--config", str(path)])
+            assert code == 1
+            assert out == ""
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert msg in err
+
     def test_success_is_0(self, capsys):
         code, out, _ = run_capture(
             capsys, ["errors", "--l100-db", "-88", "--ts", "1e-7"])

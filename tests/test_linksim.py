@@ -12,12 +12,14 @@ from phasenoise import (
     LinkConfig,
     OscillatorParams,
     build_pilot_layout,
+    gen_composite,
     measure_sir,
     pilot_phase_track,
     rrc_taps,
     simulate_link,
     sir_from_rho,
 )
+from phasenoise import linksim
 
 import oracles
 
@@ -40,6 +42,13 @@ class TestRrcTaps:
     def test_exact_symmetry(self):
         h = rrc_taps(0.22, 32, 5)
         assert np.array_equal(h, h[::-1])
+
+    def test_even_tap_count(self):
+        # an odd span*osf gives an even tap count, the peak between two taps
+        h = rrc_taps(0.22, 33, 5)
+        assert h.size == 33 * 5 + 1
+        assert np.array_equal(h, h[::-1])
+        assert np.sum(h * h) / 5 == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_rolloff_is_sinc(self):
         osf = 4
@@ -75,6 +84,34 @@ class TestRrcTaps:
             rrc_taps(0.3, 8, 5)
         with pytest.raises(ValueError):
             rrc_taps(0.3, 32, 1)
+
+
+class TestPolyphaseChain:
+    @pytest.mark.parametrize("osf", [2, 5, 8])
+    @pytest.mark.parametrize("rolloff", [0.0, 0.3])
+    @pytest.mark.parametrize("span", [16, 33])
+    def test_matches_full_length_chain(self, osf, rolloff, span):
+        # the polyphase filters against zero-stuffing and full convolutions;
+        # a symbol-instant offset wrong by one sample fails by O(1)
+        model = OscillatorParams.from_db(10.0, -70.0, -100.0)
+        cfg = LinkConfig(rolloff=rolloff, osf=osf, n_symbols=700, pn_mode="ct",
+                         pn_model=model, esn0_db=None, pilot_len=0, seed=12,
+                         filter_span=span)
+        layout = build_pilot_layout(cfg.n_symbols, 0, cfg.pilot_period)
+        qpsk = Constellation("qpsk")
+        tx = qpsk.map_bits(np.random.default_rng(osf).integers(0, 2, (layout.n_tx, 2)))
+        y, g0 = linksim._simulate_ct(cfg, tx, layout, None, 4321, None)
+
+        pad_bits = linksim._sub_rng(cfg.seed, linksim._SEED_PAD).integers(0, 2, (2 * span, 2))
+        pads = qpsk.map_bits(pad_bits)
+        seq = np.concatenate([pads[:span], tx, pads[span:]])
+        h = rrc_taps(rolloff, span, osf)
+        theta = gen_composite(model, cfg.ts / osf, seq.size * osf + h.size - 1,
+                              4321).samples
+        y_ref, g0_ref = oracles.oversampled_chain(seq, h, osf, theta, span, layout.n_tx)
+        assert np.max(np.abs(y - y_ref)) < 1e-12
+        assert np.max(np.abs(g0 - g0_ref)) < 1e-12
+        assert np.max(np.abs(g0_ref - 1.0)) > 1e-3  # the phase noise is not negligible
 
 
 class TestConstellations:
