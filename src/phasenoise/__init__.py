@@ -41,6 +41,7 @@ from .analysis import (
 )
 from .timegen import (
     ArCoefficients,
+    CompositeGenerator,
     PnStream,
     ar_coefficients,
     gen_ar,
@@ -68,7 +69,8 @@ from .pointsio import load_points, save_points
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArCoefficients", "CompositeModel", "Constellation", "ErrorBreakdown",
+    "ArCoefficients", "CompositeGenerator", "CompositeModel", "Constellation",
+    "ErrorBreakdown",
     "FitResult", "LinkConfig", "LinkStats", "OscillatorParams",
     "PhasorPsdValue", "PilotLayout", "PnStream", "PsdComparison",
     "PsdEstimate", "Rho", "THREEGPP_45GHZ", "ThreeGppParams",

@@ -7,6 +7,10 @@ pilot-aided phase tracking, and SIR/EVM/BER/SER measurement.  Shaping,
 matched filter and direct-path gain are polyphase FIRs (``upfirdn``)
 evaluated only at the samples the link consumes.
 
+A run streams in chunks of whole pilot frames (``CHUNK_SYMBOLS``), so its
+memory does not grow with ``n_symbols``; the statistics are
+bit-identical at any chunk size.
+
 Conventions: unit average symbol energy, symbol period normalized inside
 the signal chain, complex AWGN with total post-matched-filter variance
 Es/N0^-1.  One run is single threaded and fully determined by its seed;
@@ -15,16 +19,20 @@ sweeps parallelize across configurations only.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, fields
+from collections import deque
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.signal import upfirdn
 
 from .params import CompositeModel, OscillatorParams, as_composite
-from .timegen import gen_composite, member_seed
+# gen_composite stays a module attribute: perfbench/spans.py wraps linksim.gen_composite
+from .timegen import CompositeGenerator, gen_composite, member_seed  # noqa: F401
 
 SIR_CAP_DB = 80.0
 # sub-seed purposes, mixed with the master seed via member_seed
@@ -144,6 +152,11 @@ class LinkConfig:
     filter_span: int = 32
 
     def __post_init__(self):
+        for name, kind in _NUMERIC_FIELDS.items():
+            v = getattr(self, name)
+            if not (_is_number(v, kind) or (name == "esn0_db" and v is None)):
+                what = "an integer" if kind is numbers.Integral else "a number"
+                raise ValueError(f"{name} must be {what}, got {v!r}")
         if self.constellation not in ("qpsk", "qam16"):
             raise ValueError(f"unknown constellation {self.constellation!r}")
         if not (0.0 <= self.rolloff <= 1.0):
@@ -164,29 +177,12 @@ class LinkConfig:
             raise ValueError("bad pilot layout")
         if self.pilot_len >= self.pilot_period:
             raise ValueError("pilot_len must be < pilot_period")
-        if self.n_symbols * self.osf > 50_000_000:
-            raise ValueError("n_symbols*osf exceeds the memory budget")
 
     def to_json(self) -> str:
-        d = {
-            "version": 1,
-            "constellation": self.constellation,
-            "rolloff": self.rolloff,
-            "osf": self.osf,
-            "n_symbols": self.n_symbols,
-            "ts": self.ts,
-            "pn_mode": self.pn_mode,
-            "pn_model": None if self.pn_model is None else [
-                {"f3db": p.f3db, "l100_sq": p.l100_sq, "linf_sq": p.linf_sq,
-                 "f_ref": p.f_ref}
-                for p in as_composite(self.pn_model).processes],
-            "esn0_db": self.esn0_db,
-            "pilot_len": self.pilot_len,
-            "pilot_period": self.pilot_period,
-            "seed": self.seed,
-            "filter_span": self.filter_span,
-        }
-        return json.dumps(d, indent=2, sort_keys=True)
+        d = asdict(self)
+        if self.pn_model is not None:
+            d["pn_model"] = d["pn_model"]["processes"]
+        return json.dumps({"version": 1, **d}, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "LinkConfig":
@@ -194,10 +190,26 @@ class LinkConfig:
         d.pop("version", None)
         model = d.pop("pn_model", None)
         if model is not None:
-            model = CompositeModel(tuple(
-                OscillatorParams(**_json_fields(p, OscillatorParams, "pn_model member"))
-                for p in model))
+            if not isinstance(model, list):
+                raise ValueError("pn_model must be a JSON list of members")
+            members = [_json_fields(p, OscillatorParams, "pn_model member") for p in model]
+            for p in members:
+                if not all(_is_number(v, numbers.Real) for v in p.values()):
+                    raise ValueError("pn_model member values must be numbers")
+            model = CompositeModel(tuple(OscillatorParams(**p) for p in members))
         return cls(pn_model=model, **d)
+
+
+_NUMERIC_FIELDS = {
+    "rolloff": numbers.Real, "osf": numbers.Integral, "n_symbols": numbers.Integral,
+    "ts": numbers.Real, "esn0_db": numbers.Real, "pilot_len": numbers.Integral,
+    "pilot_period": numbers.Integral, "seed": numbers.Integral,
+    "filter_span": numbers.Integral,
+}
+
+
+def _is_number(v, kind) -> bool:
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 def _json_fields(obj, cls, what: str, extra: tuple = ()) -> dict:
@@ -257,27 +269,73 @@ class PilotLayout:
         return (self.field_starts[:, None] + np.arange(self.pilot_len)[None, :]).ravel()
 
 
+def _frames(n_info: int, pilot_len: int, period: int, f0: int, f1: int):
+    """Layout of frames f0..f1-1, each an information run of up to
+    ``period`` symbols followed by a pilot field; frame 0 is preceded by
+    the opening field.  Returns (field starts, information positions,
+    length), positions counted from the start of frame f0."""
+    runs = np.minimum(period, n_info - period * np.arange(f0, f1))
+    lead = pilot_len if f0 == 0 else 0
+    run_starts = lead + np.concatenate(([0], np.cumsum(runs + pilot_len)[:-1]))
+    fields = run_starts + runs if pilot_len else np.empty(0, dtype=np.int64)
+    if lead:
+        fields = np.concatenate(([0], fields))
+    is_info = np.ones(lead + int(np.sum(runs + pilot_len)), dtype=bool)
+    is_info[(fields[:, None] + np.arange(pilot_len)[None, :]).ravel()] = False
+    return fields, np.flatnonzero(is_info), is_info.size
+
+
+def _n_frames(n_info: int, period: int) -> int:
+    return max(1, -(-n_info // period))
+
+
 def build_pilot_layout(n_info: int, pilot_len: int, pilot_period: int) -> PilotLayout:
-    if pilot_len == 0:
-        return PilotLayout(0, pilot_period, n_info, np.empty(0, dtype=np.int64),
-                           np.arange(n_info, dtype=np.int64), n_info)
-    n_chunks = max(1, math.ceil(n_info / pilot_period))
-    starts = []
-    info_pos = []
-    pos = 0
-    remaining = n_info
-    for _c in range(n_chunks):
-        starts.append(pos)
-        pos += pilot_len
-        take = min(pilot_period, remaining)
-        info_pos.append(np.arange(pos, pos + take, dtype=np.int64))
-        pos += take
-        remaining -= take
-    starts.append(pos)
-    pos += pilot_len
-    return PilotLayout(pilot_len, pilot_period, n_info,
-                       np.asarray(starts, dtype=np.int64),
-                       np.concatenate(info_pos), pos)
+    fields, info, n_tx = _frames(n_info, pilot_len, pilot_period, 0,
+                                 _n_frames(n_info, pilot_period))
+    return PilotLayout(pilot_len, pilot_period, n_info, fields, info, n_tx)
+
+
+def _unwrap_fields(fields_rx: np.ndarray, pilots: np.ndarray,
+                   phi_prev: float | None) -> tuple[np.ndarray, int]:
+    """Per-field (row) ML phase estimates, unwrapped onward from ``phi_prev``."""
+    conj_pilots = np.conj(pilots)  # named: see _track on operand order
+    raw = np.angle(np.sum(fields_rx * conj_pilots, axis=1))
+    phi = np.empty_like(raw)
+    flags = 0
+    last = raw[0] if phi_prev is None else phi_prev
+    for i, r in enumerate(raw):
+        step = r - last
+        step -= 2.0 * math.pi * round(step / (2.0 * math.pi))
+        if abs(step) > math.pi / 2.0:
+            flags += 1
+        last = phi[i] = last + step
+    return phi, flags
+
+
+def _track(rx: np.ndarray, positions: np.ndarray, fields_rx: np.ndarray,
+           pilots: np.ndarray, centers: np.ndarray,
+           prev: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Derotate ``rx`` (at absolute ``positions``) by the phase interpolated
+    between pilot-field estimates; ``prev`` is the (center, phase) of the
+    field before ``fields_rx``, or None at the start of the sequence."""
+    phi, flags = _unwrap_fields(fields_rx, pilots, None if prev is None else prev[1])
+    if prev is not None:
+        centers, fp = np.concatenate(([prev[0]], centers)), np.concatenate(([prev[1]], phi))
+    else:
+        fp = phi
+    phase = np.interp(positions, centers, fp)
+    # complex products are not bit-commutative, and numpy computes a large
+    # ``rx * temporary`` in place as ``temporary * rx``; fix one order
+    out = np.exp(-1j * phase)
+    out *= rx
+    return out, phi, flags
+
+
+def _warn_unwrap(flags: int) -> None:
+    """Warn once, at the caller of the public function that calls this."""
+    if flags:
+        warnings.warn(f"{flags} inter-pilot phase jumps above pi/2; unwrap may "
+                      "be ambiguous", stacklevel=3)
 
 
 def pilot_phase_track(rx: np.ndarray, layout: PilotLayout,
@@ -293,27 +351,88 @@ def pilot_phase_track(rx: np.ndarray, layout: PilotLayout,
     """
     if layout.pilot_len == 0:
         return rx, np.empty(0), 0
-    pil = pilot_symbols.reshape(layout.n_fields, layout.pilot_len)
     idx = layout.field_starts[:, None] + np.arange(layout.pilot_len)[None, :]
-    raw = np.angle(np.sum(rx[idx] * np.conj(pil), axis=1))
-    phi = np.empty_like(raw)
-    phi[0] = raw[0]
-    flags = 0
-    for i in range(1, raw.size):
-        step = raw[i] - phi[i - 1]
-        step -= 2.0 * math.pi * round(step / (2.0 * math.pi))
-        if abs(step) > math.pi / 2.0:
-            flags += 1
-        phi[i] = phi[i - 1] + step
-    if flags:
-        warnings.warn(f"{flags} inter-pilot phase jumps above pi/2; unwrap may "
-                      "be ambiguous", stacklevel=2)
-    phase = np.interp(np.arange(layout.n_tx, dtype=float), layout.centers, phi)
-    return rx * np.exp(-1j * phase), phi, flags
+    pil = pilot_symbols.reshape(layout.n_fields, layout.pilot_len)
+    out, phi, flags = _track(rx, np.arange(layout.n_tx, dtype=float), rx[idx], pil,
+                             layout.centers, None)
+    _warn_unwrap(flags)
+    return out, phi, flags
 
 
 # ---------------------------------------------------------------------------
 # SIR measurement
+
+_SE_BLOCKS = 16
+
+
+class _CellSums:
+    """Sums over a fixed grid of cells of information symbols.
+
+    A cell ends at every frame edge and at every edge of the 16 blocks
+    behind the SIR standard error.  Chunks are whole frames, so each
+    cell's partial sum is formed from the same values in the same order
+    at any chunk size, and the totals, summed once from the cell
+    partials, are bit-identical too.
+    """
+
+    def __init__(self, n: int, frame: int | None = None):
+        self.n = n
+        self.m = n // _SE_BLOCKS  # SE block length
+        self.frame = frame
+        self.starts: list[np.ndarray] = []
+        self.parts: dict[str, list[np.ndarray]] = {}
+
+    def add(self, lo: int, **terms: np.ndarray) -> None:
+        """Add per-symbol ``terms`` of the information symbols lo, lo+1, ..."""
+        hi = lo + len(next(iter(terms.values())))
+        edges = [np.array([lo])]
+        if self.frame:
+            edges.append(np.arange(lo + self.frame, hi, self.frame))
+        if self.m:
+            se = self.m * np.arange(1, _SE_BLOCKS + 1)
+            edges.append(se[(se > lo) & (se < hi)])
+        local = np.unique(np.concatenate(edges)) - lo
+        self.starts.append(lo + local)
+        for name, v in terms.items():
+            self.parts.setdefault(name, []).append(np.add.reduceat(v, local))
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return np.concatenate(self.parts[name])
+
+    def total(self, name: str) -> float:
+        return float(np.sum(self[name]))
+
+    def blocks(self, per_cell: np.ndarray) -> list[float]:
+        """Sums of ``per_cell`` over each SE block."""
+        cut = np.searchsorted(np.concatenate(self.starts), self.m * np.arange(_SE_BLOCKS + 1))
+        return [float(np.sum(per_cell[a:b])) for a, b in zip(cut[:-1], cut[1:])]
+
+
+def _sir_terms(x: np.ndarray, y: np.ndarray, gain) -> dict[str, np.ndarray]:
+    """Per-symbol signal and interference power for direct-path gain(s) ``gain``."""
+    direct = x * gain
+    return {"sig": np.abs(direct) ** 2, "intf": np.abs(y - direct) ** 2}
+
+
+def _sir_from_cells(cells: _CellSums, noise_power: float) -> tuple[float, float]:
+    sig, intf = cells["sig"], cells["intf"]
+
+    def _sir_db(s, i):
+        denom = i - noise_power
+        if denom <= s * 10 ** (-SIR_CAP_DB / 10.0):
+            return SIR_CAP_DB
+        return 10.0 * math.log10(s / denom)
+
+    n, m = cells.n, cells.m
+    total = _sir_db(float(np.sum(sig)) / n, float(np.sum(intf)) / n)
+    if m >= 1 and total < SIR_CAP_DB:
+        blocks = [_sir_db(s / m, i / m)
+                  for s, i in zip(cells.blocks(sig), cells.blocks(intf))]
+        se = float(np.std(blocks, ddof=1) / math.sqrt(_SE_BLOCKS))
+    else:
+        se = 0.0
+    return float(min(total, SIR_CAP_DB)), se
+
 
 def measure_sir(tx_symbols: np.ndarray, rx_symbols: np.ndarray,
                 direct_gain: np.ndarray | None = None,
@@ -338,34 +457,27 @@ def measure_sir(tx_symbols: np.ndarray, rx_symbols: np.ndarray,
     if x.size < min_symbols:
         raise ValueError(f"need at least {min_symbols} symbols, got {x.size}")
     if direct_gain is None:
-        g = np.vdot(x, y) / np.vdot(x, x)
-        direct = g * x
+        gain = np.vdot(x, y) / np.vdot(x, x)
     else:
-        direct = x * np.asarray(direct_gain)
-    resid = y - direct
-    sig = np.abs(direct) ** 2
-    intf = np.abs(resid) ** 2
-
-    def _sir_db(s, i):
-        denom = np.mean(i) - noise_power
-        if denom <= np.mean(s) * 10 ** (-SIR_CAP_DB / 10.0):
-            return SIR_CAP_DB
-        return 10.0 * math.log10(np.mean(s) / denom)
-
-    total = _sir_db(sig, intf)
-    nb = 16
-    m = x.size // nb
-    if m >= 1 and total < SIR_CAP_DB:
-        blocks = np.array([_sir_db(sig[i * m:(i + 1) * m], intf[i * m:(i + 1) * m])
-                           for i in range(nb)])
-        se = float(np.std(blocks, ddof=1) / math.sqrt(nb))
-    else:
-        se = 0.0
-    return float(min(total, SIR_CAP_DB)), se
+        gain = np.asarray(direct_gain)
+    cells = _CellSums(x.size)
+    cells.add(0, **_sir_terms(x, y, gain))
+    return _sir_from_cells(cells, noise_power)
 
 
 # ---------------------------------------------------------------------------
-# the simulator
+# the simulator: the transmit sequence is drawn, sent through the channel
+# and measured chunk by chunk
+
+# transmitted symbols per chunk, rounded down to whole frames (at least one)
+CHUNK_SYMBOLS = 1 << 16
+# information symbols per frame when there are no pilots
+_PLAIN_FRAME = 4096
+
+
+def _esn0(cfg: LinkConfig) -> float | None:
+    return None if cfg.esn0_db is None else 10.0 ** (cfg.esn0_db / 10.0)
+
 
 def _sub_rng(seed: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(member_seed(seed, purpose))
@@ -382,89 +494,213 @@ def _fir(taps: np.ndarray, x: np.ndarray, up: int = 1, down: int = 1) -> np.ndar
     return upfirdn(taps, x.real, up, down) + 1j * upfirdn(taps, x.imag, up, down)
 
 
+@dataclass(frozen=True)
+class _TxChunk:
+    """A run of whole frames of the transmit sequence.
+
+    A frame is an information run followed by a pilot field (the first
+    chunk also holds the opening field), so every information symbol of
+    a chunk lies between two fields of the same chunk, or of the same
+    chunk and the last field of the one before.
+    """
+
+    start: int            # sequence position of tx[0]
+    info_start: int       # index of the first information symbol
+    tx: np.ndarray
+    info: np.ndarray      # positions of the information symbols in tx
+    bits: np.ndarray
+    syms: np.ndarray
+    fields: np.ndarray    # positions of the pilot-field starts in tx
+    pilots: np.ndarray    # (fields, pilot_len) pilot symbols
+
+
+def _frame_len(cfg: LinkConfig) -> int:
+    """Information symbols per frame."""
+    return cfg.pilot_period if cfg.pilot_len else _PLAIN_FRAME
+
+
+def _tx_chunks(cfg: LinkConfig, const: Constellation):
+    """Draw the transmit sequence chunk by chunk, in the layout of
+    ``build_pilot_layout`` and in the draw order of one whole-run draw."""
+    bits_rng = _sub_rng(cfg.seed, _SEED_BITS)
+    pilot_rng = _sub_rng(cfg.seed, _SEED_PILOTS)
+    qpsk = Constellation("qpsk")
+    plen, period, n = cfg.pilot_len, _frame_len(cfg), cfg.n_symbols
+    n_frames = _n_frames(n, period)
+    per_chunk = max(1, CHUNK_SYMBOLS // (period + plen))
+    start = 0
+    for f0 in range(0, n_frames, per_chunk):
+        fields, info, size = _frames(n, plen, period, f0, min(f0 + per_chunk, n_frames))
+        field_idx = fields[:, None] + np.arange(plen)[None, :]
+        bits = bits_rng.integers(0, 2, (info.size, const.bits_per_symbol))
+        syms = const.map_bits(bits)
+        tx = np.empty(size, dtype=complex)
+        tx[info] = syms
+        pilots = qpsk.map_bits(pilot_rng.integers(0, 2, (field_idx.size, 2)))
+        tx[field_idx.ravel()] = pilots
+        yield _TxChunk(start, f0 * period, tx, info, bits, syms, fields,
+                       pilots.reshape(field_idx.shape))
+        start += tx.size
+
+
+class _SymbolRate:
+    """``dt`` channel: phase noise and AWGN on the symbol-rate samples."""
+
+    def __init__(self, cfg: LinkConfig):
+        self.pn = CompositeGenerator(cfg.pn_model, cfg.ts, member_seed(cfg.seed, _SEED_PN))
+        self.awgn = _sub_rng(cfg.seed, _SEED_AWGN)
+        esn0 = _esn0(cfg)
+        self.variance = None if esn0 is None else 1.0 / esn0
+
+    def push(self, tx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g0 = np.exp(1j * self.pn.take(tx.size))
+        y = tx * g0
+        if self.variance is not None:
+            y += _complex_awgn(self.awgn, tx.size, self.variance)
+        return y, g0
+
+    def finish(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.empty(0, dtype=complex), np.empty(0, dtype=complex)
+
+
+class _Oversampled:
+    """``ct``/``none`` channel: the oversampled chain, streamed.
+
+    Pads ``span`` random QPSK symbols on each side so that every real
+    symbol has full filter support, shapes with ``upfirdn(h, seq, osf)``,
+    applies the phasor (``ct``) and AWGN on the waveform, and evaluates
+    the matched filter and the direct-path gain ``g0`` only at the symbol
+    instants; real symbol i peaks at output 2*span + i (span pad symbols
+    plus the span-symbol delay of h * h).
+
+    ``push`` returns the outputs of the symbols whose instants it
+    completes; they lag its input by ``span`` symbols, and ``finish``
+    returns the rest.  Across pushes it carries ``span`` symbols of
+    shaping history and ``span*osf`` waveform samples (received signal
+    and phasor) of receive-filter history.  Every output sums the same
+    terms in the same order as one whole-sequence pass.
+    """
+
+    def __init__(self, cfg: LinkConfig):
+        self.osf, self.span = cfg.osf, cfg.filter_span
+        h = rrc_taps(cfg.rolloff, self.span, self.osf)
+        self.h, self.h_mf, self.h_g0 = h, h / self.osf, h * h / self.osf
+        pad_rng = _sub_rng(cfg.seed, _SEED_PAD)
+        pads = Constellation("qpsk").map_bits(pad_rng.integers(0, 2, (2 * self.span, 2)))
+        self.seq, self.tail = pads[:self.span], pads[self.span:]
+        self.m0 = 0    # sequence index of seq[0]
+        self.w = 0     # waveform samples made so far
+        self.j = 0     # next receive-filter output
+        self.w0 = 0    # waveform index of rx[0] and ph[0]
+        self.rx = np.empty(0, dtype=complex)
+        self.ph = np.empty(0, dtype=complex)
+        self.pn = None
+        if cfg.pn_mode == "ct":
+            self.pn = CompositeGenerator(cfg.pn_model, cfg.ts / self.osf,
+                                         member_seed(cfg.seed, _SEED_PN))
+        self.awgn = _sub_rng(cfg.seed, _SEED_AWGN)
+        esn0 = _esn0(cfg)
+        self.variance = None if esn0 is None else self.osf / esn0
+
+    def push(self, tx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        osf, span = self.osf, self.span
+        seq = np.concatenate([self.seq, tx])
+        m_end = self.m0 + seq.size
+        # waveform samples below m_end*osf depend on known symbols only
+        w_end = m_end * osf
+        wave = _fir(self.h, seq, up=osf)[self.w - self.m0 * osf:w_end - self.m0 * osf]
+        self.seq, self.m0, self.w = seq[-span:], m_end - span, w_end
+
+        rx, ph = np.concatenate([self.rx, wave]), None
+        new = rx[rx.size - wave.size:]
+        if self.pn is not None:
+            phasor = np.exp(1j * self.pn.take(wave.size))
+            new *= phasor
+            ph = np.concatenate([self.ph, phasor])
+        if self.variance is not None:
+            new += _complex_awgn(self.awgn, wave.size, self.variance)
+
+        # receive-filter outputs self.j .. m_end-1 are now complete; output
+        # k of a filter pass over rx is output w0/osf + k
+        base = self.w0 // osf
+        pick = slice(max(self.j, 2 * span) - base, m_end - base)
+        y = _fir(self.h_mf, rx, down=osf)[pick]
+        g0 = None if ph is None else _fir(self.h_g0, ph, down=osf)[pick]
+        keep = max(0, (m_end - span) * osf - self.w0)  # history of the next outputs
+        self.rx, self.w0, self.j = rx[keep:], self.w0 + keep, m_end
+        if ph is not None:
+            self.ph = ph[keep:]
+        return y, g0
+
+    def finish(self) -> tuple[np.ndarray, np.ndarray | None]:
+        return self.push(self.tail)
+
+
+def _received(cfg: LinkConfig, const: Constellation):
+    """Each transmit chunk with the channel's output at its positions:
+    (chunk, y, g0), g0 the direct-path gain or None."""
+    chan = _SymbolRate(cfg) if cfg.pn_mode == "dt" else _Oversampled(cfg)
+    pending = deque()
+    y = np.empty(0, dtype=complex)
+    g0 = None
+    for chunk in itertools.chain(_tx_chunks(cfg, const), [None]):
+        if chunk is None:
+            y_new, g_new = chan.finish()
+        else:
+            pending.append(chunk)
+            y_new, g_new = chan.push(chunk.tx)
+        y = np.concatenate([y, y_new]) if y.size else y_new
+        if g_new is not None:
+            g0 = np.concatenate([g0, g_new]) if g0 is not None and g0.size else g_new
+        while pending and y.size >= pending[0].tx.size:
+            ch = pending.popleft()
+            k = ch.tx.size
+            yield ch, y[:k], None if g0 is None else g0[:k]
+            y = y[k:]
+            if g0 is not None:
+                g0 = g0[k:]
+
+
 def simulate_link(cfg: LinkConfig) -> LinkStats:
     """Run one deterministic link simulation and measure its statistics."""
     const = Constellation(cfg.constellation)
-    layout = build_pilot_layout(cfg.n_symbols, cfg.pilot_len, cfg.pilot_period)
+    n, plen = cfg.n_symbols, cfg.pilot_len
+    cells = _CellSums(n, _frame_len(cfg))
+    prev = None  # (center, unwrapped phase) of the last pilot field
+    unwrap_flags = n_err = n_sym_err = 0
+    for ch, y, g0 in _received(cfg, const):
+        x = ch.syms
+        y_info = y[ch.info]
+        # SIR on the untracked matched-filter output; without phase noise
+        # the direct path has the unit gain of the unit-energy taps
+        if g0 is None:
+            terms = _sir_terms(x, y_info, 1.0)
+        else:
+            g0_info = g0[ch.info]
+            terms = _sir_terms(x, y_info, g0_info)
+            terms["gain"] = np.abs(g0_info) ** 2
+        if plen:
+            field_idx = ch.fields[:, None] + np.arange(plen)[None, :]
+            centers = ch.start + ch.fields + (plen - 1) / 2.0
+            y_info, phi, flags = _track(y_info, (ch.start + ch.info).astype(float),
+                                        y[field_idx], ch.pilots, centers, prev)
+            prev = (centers[-1], phi[-1])
+            unwrap_flags += flags
+        terms["err"] = np.abs(y_info - x) ** 2
+        terms["energy"] = np.abs(x) ** 2
+        cells.add(ch.info_start, **terms)
+        bits_hat, syms_hat = const.decide(y_info)
+        n_err += int(np.sum(bits_hat != ch.bits))
+        n_sym_err += int(np.count_nonzero(np.abs(syms_hat - x) > 1e-9))
 
-    bits_rng = _sub_rng(cfg.seed, _SEED_BITS)
-    info_bits = bits_rng.integers(0, 2, (cfg.n_symbols, const.bits_per_symbol))
-    info_syms = const.map_bits(info_bits)
-
-    tx_seq = np.empty(layout.n_tx, dtype=complex)
-    if cfg.pilot_len > 0:
-        pilot_rng = _sub_rng(cfg.seed, _SEED_PILOTS)
-        qpsk = Constellation("qpsk")
-        pilot_bits = pilot_rng.integers(0, 2, (layout.n_fields * cfg.pilot_len, 2))
-        pilot_syms = qpsk.map_bits(pilot_bits)
-        tx_seq[layout.pilot_positions()] = pilot_syms
-    else:
-        pilot_syms = np.empty(0, dtype=complex)
-    tx_seq[layout.info_positions] = info_syms
-
-    esn0 = None if cfg.esn0_db is None else 10.0 ** (cfg.esn0_db / 10.0)
-    awgn_rng = _sub_rng(cfg.seed, _SEED_AWGN)
-    pn_seed = member_seed(cfg.seed, _SEED_PN)
-
-    noise_power = 0.0 if esn0 is None else 1.0 / esn0
-
-    if cfg.pn_mode == "dt":
-        theta = gen_composite(cfg.pn_model, cfg.ts, layout.n_tx, pn_seed).samples
-        g0 = np.exp(1j * theta)
-        y = tx_seq * g0
-        if esn0 is not None:
-            y += _complex_awgn(awgn_rng, layout.n_tx, 1.0 / esn0)
-    else:
-        y, g0 = _simulate_ct(cfg, tx_seq, layout, awgn_rng, pn_seed, esn0)
-
-    # SIR on the untracked matched-filter output
-    info = layout.info_positions
-    sir_db, sir_se = measure_sir(tx_seq[info], y[info],
-                                 direct_gain=None if g0 is None else g0[info],
-                                 noise_power=noise_power,
-                                 min_symbols=min(cfg.n_symbols, 10_000))
-    power_loss = 1.0 if g0 is None else float(np.mean(np.abs(g0[info]) ** 2))
-
-    y, _phi, unwrap_flags = pilot_phase_track(y, layout, pilot_syms)
-    y_info = y[info]
-    evm = float(math.sqrt(np.mean(np.abs(y_info - info_syms) ** 2)
-                          / np.mean(np.abs(info_syms) ** 2)))
-    bits_hat, syms_hat = const.decide(y_info)
-    n_err = int(np.sum(bits_hat != info_bits))
-    n_bits = info_bits.size
+    esn0 = _esn0(cfg)
+    sir_db, sir_se = _sir_from_cells(cells, 0.0 if esn0 is None else 1.0 / esn0)
+    power_loss = cells.total("gain") / n if "gain" in cells.parts else 1.0
+    evm = math.sqrt((cells.total("err") / n) / (cells.total("energy") / n))
+    _warn_unwrap(unwrap_flags)
+    n_bits = n * const.bits_per_symbol
     ber = n_err / n_bits
-    ser = float(np.mean(np.abs(syms_hat - info_syms) > 1e-9))
     ber_se = math.sqrt(max(ber * (1.0 - ber), 1.0 / n_bits) / n_bits)
     return LinkStats(sir_db=sir_db, sir_se_db=sir_se, evm_rms=evm, ber=ber,
-                     ber_se=ber_se, ser=ser, n_bits=n_bits, n_errors=n_err,
-                     n_symbols=cfg.n_symbols, power_loss=power_loss,
-                     unwrap_flags=unwrap_flags)
-
-
-def _simulate_ct(cfg: LinkConfig, tx_seq: np.ndarray, layout: PilotLayout,
-                 awgn_rng: np.random.Generator, pn_seed: int, esn0):
-    """Oversampled chain; returns symbol-rate output and direct-path gain."""
-    osf = cfg.osf
-    h = rrc_taps(cfg.rolloff, cfg.filter_span, osf)
-    span = cfg.filter_span
-
-    # pad with extra symbols so every real symbol has full filter support
-    pad_rng = _sub_rng(cfg.seed, _SEED_PAD)
-    pads = Constellation("qpsk").map_bits(pad_rng.integers(0, 2, (2 * span, 2)))
-    seq = np.concatenate([pads[:span], tx_seq, pads[span:]])
-    tx_wave = _fir(h, seq, up=osf)
-    # receive filters output symbol instants only; real symbol i peaks at
-    # 2*span + i (span pad symbols plus the span-symbol delay of h * h)
-    instants = slice(2 * span, 2 * span + layout.n_tx)
-
-    g0 = None
-    if cfg.pn_mode == "ct":
-        phasor = np.exp(1j * gen_composite(cfg.pn_model, cfg.ts / osf, tx_wave.size,
-                                           pn_seed).samples)
-        tx_wave *= phasor
-        # direct-path gain: phasor filtered by the squared pulse
-        g0 = _fir(h * h / osf, phasor, down=osf)[instants]
-    if esn0 is not None:
-        tx_wave += _complex_awgn(awgn_rng, tx_wave.size, osf / esn0)
-    y = _fir(h / osf, tx_wave, down=osf)[instants]
-    return y, g0
+                     ber_se=ber_se, ser=n_sym_err / n, n_bits=n_bits, n_errors=n_err,
+                     n_symbols=n, power_loss=power_loss, unwrap_flags=unwrap_flags)

@@ -12,6 +12,8 @@ which reduces to the Wiener random walk with increment variance
 of variance linf_sq/Ts.  Streams are generated with numpy's PCG64
 generator (seeded 64-bit, documented algorithm, ziggurat normals);
 identical (model, ts, n, seed) inputs regenerate bit-identical output.
+``CompositeGenerator`` produces the same stream block by block, with
+the same bits at any block size; ``gen_composite`` is its one-block case.
 """
 
 from __future__ import annotations
@@ -121,6 +123,81 @@ def wiener_sigma(params: OscillatorParams, ts: float) -> float:
     return 4.0 * math.pi ** 2 * params.amp * ts
 
 
+class _ArSource:
+    """AR(1) recursion drawn block by block; lfilter's state carries across blocks."""
+
+    def __init__(self, coeffs: ArCoefficients, seed: int):
+        if coeffs.a >= 1.0:
+            raise ValueError("a=1 is the random-walk mode: use gen_wiener")
+        self.coeffs = coeffs
+        self.rng = np.random.default_rng(seed)
+        self.zi = None
+        self.model = {"kind": "ar", "a": coeffs.a, "sigma_u_sq": coeffs.sigma_u_sq}
+
+    def take(self, n: int) -> np.ndarray:
+        if n == 0:
+            return np.empty(0)
+        drive = np.empty(n)
+        head = 0
+        if self.zi is None:  # theta_0 first, from the stationary distribution
+            drive[0] = self.rng.normal(0.0, math.sqrt(self.coeffs.stationary_variance))
+            head = 1
+            self.zi = np.zeros(1)
+        drive[head:] = self.rng.normal(0.0, math.sqrt(self.coeffs.sigma_u_sq), n - head)
+        out, self.zi = lfilter([1.0], [1.0, -self.coeffs.a], drive, zi=self.zi)
+        return out
+
+
+class _WienerSource:
+    """Random walk drawn block by block.
+
+    The running total is prepended to each block's cumsum rather than
+    added afterwards, so every sample is the same left-to-right sum at
+    any block size.
+    """
+
+    def __init__(self, sigma_u_sq: float, seed: int):
+        if sigma_u_sq < 0:
+            raise ValueError("sigma_u_sq must be >= 0")
+        self.sd = math.sqrt(sigma_u_sq)
+        self.rng = np.random.default_rng(seed)
+        self.total = None
+        self.model = {"kind": "wiener", "sigma_u_sq": sigma_u_sq}
+
+    def take(self, n: int) -> np.ndarray:
+        if n == 0:
+            return np.empty(0)
+        first = self.total is None
+        buf = np.empty(n if first else n + 1)
+        buf[0] = 0.0 if first else self.total  # theta_0 = 0
+        buf[1:] = self.rng.normal(0.0, self.sd, buf.size - 1)
+        np.cumsum(buf, out=buf)
+        self.total = buf[-1]
+        return buf if first else buf[1:]
+
+
+class _FloorSource:
+    """White floor: i.i.d. N(0, linf_sq/ts)."""
+
+    def __init__(self, linf_sq: float, ts: float, seed: int):
+        if linf_sq < 0:
+            raise ValueError("linf_sq must be >= 0")
+        if not ts > 0:
+            raise ValueError("ts must be > 0")
+        self.var = linf_sq / ts
+        self.rng = np.random.default_rng(seed)
+        self.model = {"kind": "white", "variance": self.var}
+
+    def take(self, n: int) -> np.ndarray:
+        return self.rng.normal(0.0, math.sqrt(self.var), n) if self.var > 0 else np.zeros(n)
+
+
+def _one_block(source, n: int, ts: float, seed: int) -> PnStream:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return PnStream(samples=source.take(n), ts=ts, seed=int(seed), model=source.model)
+
+
 def gen_ar(coeffs: ArCoefficients, n: int, seed: int) -> PnStream:
     """Stationary AR(1) stream of n samples.
 
@@ -128,77 +205,54 @@ def gen_ar(coeffs: ArCoefficients, n: int, seed: int) -> PnStream:
     N(0, sigma_u_sq/(1-a^2)) so the stream is stationary from its first
     sample; the draw order is theta_0 first, then the n-1 innovations.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if coeffs.a >= 1.0:
-        raise ValueError("a=1 is the random-walk mode: use gen_wiener")
-    rng = np.random.default_rng(seed)
-    theta0 = rng.normal(0.0, math.sqrt(coeffs.stationary_variance))
-    drive = np.empty(n)
-    drive[0] = theta0
-    if n > 1:
-        drive[1:] = rng.normal(0.0, math.sqrt(coeffs.sigma_u_sq), n - 1)
-    samples = lfilter([1.0], [1.0, -coeffs.a], drive)
-    model = {"kind": "ar", "a": coeffs.a, "sigma_u_sq": coeffs.sigma_u_sq}
-    return PnStream(samples=samples, ts=coeffs.ts, seed=int(seed), model=model)
+    return _one_block(_ArSource(coeffs, seed), n, coeffs.ts, seed)
 
 
 def gen_wiener(sigma_u_sq: float, n: int, seed: int, ts: float = 0.0) -> PnStream:
     """Random-walk stream: theta_0 = 0, increments i.i.d. N(0, sigma_u_sq)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if sigma_u_sq < 0:
-        raise ValueError("sigma_u_sq must be >= 0")
-    rng = np.random.default_rng(seed)
-    samples = np.zeros(n)
-    if n > 1:
-        inc = rng.normal(0.0, math.sqrt(sigma_u_sq), n - 1)
-        np.cumsum(inc, out=samples[1:])
-    model = {"kind": "wiener", "sigma_u_sq": sigma_u_sq}
-    return PnStream(samples=samples, ts=ts, seed=int(seed), model=model)
+    return _one_block(_WienerSource(sigma_u_sq, seed), n, ts, seed)
 
 
 def gen_white_floor(linf_sq: float, ts: float, n: int, seed: int) -> PnStream:
     """White floor stream: i.i.d. N(0, linf_sq/ts)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if linf_sq < 0:
-        raise ValueError("linf_sq must be >= 0")
-    if not ts > 0:
-        raise ValueError("ts must be > 0")
-    rng = np.random.default_rng(seed)
-    var = linf_sq / ts
-    samples = rng.normal(0.0, math.sqrt(var), n) if var > 0 else np.zeros(n)
-    model = {"kind": "white", "variance": var}
-    return PnStream(samples=samples, ts=ts, seed=int(seed), model=model)
+    return _one_block(_FloorSource(linf_sq, ts, seed), n, ts, seed)
 
 
-def gen_composite(model, ts: float, n: int, seed: int) -> PnStream:
-    """Sum of independently seeded member streams.
+class CompositeGenerator:
+    """Composite phase-noise stream produced block by block.
 
     Each member contributes its close-to-carrier stream (AR for
     f3db > 0, random walk for f3db = 0) seeded with member_seed(seed, 2i)
     and, when linf_sq > 0, a white-floor stream seeded with
-    member_seed(seed, 2i + 1).
+    member_seed(seed, 2i + 1).  Successive ``take(n)`` calls continue the
+    stream: their concatenation is bit-identical to one ``take`` of the
+    total length, whatever the block sizes.
     """
-    comp = as_composite(model)
-    total = np.zeros(n)
-    members = []
-    for i, p in enumerate(comp.processes):
-        s_core = member_seed(seed, 2 * i)
-        if p.f3db == 0.0:
-            core = gen_wiener(wiener_sigma(p, ts), n, s_core, ts=ts)
-        else:
-            core = gen_ar(ar_coefficients(p, ts), n, s_core)
-        total += core.samples
-        members.append(core.model)
-        if p.linf_sq > 0.0:
-            s_floor = member_seed(seed, 2 * i + 1)
-            floor = gen_white_floor(p.linf_sq, ts, n, s_floor)
-            total += floor.samples
-            members.append(floor.model)
-    return PnStream(samples=total, ts=ts, seed=int(seed),
-                    model={"kind": "composite", "members": members})
+
+    def __init__(self, model, ts: float, seed: int):
+        self.sources = []
+        for i, p in enumerate(as_composite(model).processes):
+            s_core = member_seed(seed, 2 * i)
+            if p.f3db == 0.0:
+                self.sources.append(_WienerSource(wiener_sigma(p, ts), s_core))
+            else:
+                self.sources.append(_ArSource(ar_coefficients(p, ts), s_core))
+            if p.linf_sq > 0.0:
+                self.sources.append(_FloorSource(p.linf_sq, ts, member_seed(seed, 2 * i + 1)))
+        self.model = {"kind": "composite", "members": [s.model for s in self.sources]}
+
+    def take(self, n: int) -> np.ndarray:
+        """The next n samples of the stream."""
+        total = np.zeros(n)
+        for source in self.sources:
+            total += source.take(n)
+        return total
+
+
+def gen_composite(model, ts: float, n: int, seed: int) -> PnStream:
+    """Sum of independently seeded member streams: one block of
+    ``CompositeGenerator(model, ts, seed)``."""
+    return _one_block(CompositeGenerator(model, ts, seed), n, ts, seed)
 
 
 def save_stream_csv(stream: PnStream, path) -> None:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from phasenoise import OscillatorParams, gen_composite, load_points, save_points, pn_psd
 from phasenoise.cli import run
@@ -251,3 +253,46 @@ class TestFit:
         payload = json.loads(out)
         assert payload["columns"][0] == "rho"
         assert len(payload["rows"]) == 3
+
+
+# random `ber --config` documents: unknown keys, wrong types, non-objects,
+# out-of-range values; sizes stay small (n_symbols <= 20000, osf <= 8,
+# filter_span <= 40) so that every accepted document runs in milliseconds
+_SMALL_INT = st.integers(-3, 40)
+_ANY = st.one_of(st.none(), st.booleans(), _SMALL_INT,
+                 st.floats(allow_nan=True, allow_infinity=True),
+                 st.text(max_size=3), st.lists(_SMALL_INT, max_size=2),
+                 st.dictionaries(st.text(max_size=2), _SMALL_INT, max_size=1))
+_MEMBER = st.one_of(
+    st.fixed_dictionaries(
+        {"f3db": st.sampled_from([0.0, 10.0, 5e3]) | _ANY,
+         "l100_sq": st.floats(1e-12, 1e-7) | _ANY},
+        optional={"linf_sq": st.floats(0.0, 1e-11) | _ANY,
+                  "f_ref": st.floats(1e3, 1e6) | _ANY, "f3dB": _ANY}),
+    _ANY)
+_CONFIG = st.fixed_dictionaries(
+    {"n_symbols": st.integers(-2, 20_000) | _ANY,
+     "pn_mode": st.sampled_from(["ct", "dt", "none"]) | _ANY},
+    optional={"constellation": st.sampled_from(["qpsk", "qam16", "8psk"]) | _ANY,
+              "rolloff": st.floats(-0.5, 1.5) | _ANY,
+              "osf": st.integers(-1, 8) | _ANY,
+              "ts": st.floats(1e-9, 1e-5) | _ANY,
+              "pn_model": st.lists(_MEMBER, max_size=3) | _ANY,
+              "esn0_db": st.floats(-10.0, 40.0) | _ANY,
+              "pilot_len": st.integers(-2, 60) | _ANY,
+              "pilot_period": st.integers(-2, 3000) | _ANY,
+              "seed": st.integers(-2 ** 70, 2 ** 70) | _ANY,
+              "filter_span": st.integers(-1, 40) | _ANY,
+              "version": _ANY, "bogus": _ANY})
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_CONFIG | _ANY)
+def test_ber_config_fuzz_never_tracebacks(tmp_path, capsys, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code = run(["ber", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

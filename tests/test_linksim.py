@@ -1,19 +1,26 @@
 """Link simulator: pulses, tracking, SIR/BER measurement, determinism."""
 
 import math
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 from scipy.special import erfc
 
 from phasenoise import (
+    CompositeModel,
     Constellation,
     LinkConfig,
     OscillatorParams,
     build_pilot_layout,
     gen_composite,
     measure_sir,
+    member_seed,
     pilot_phase_track,
     rrc_taps,
     simulate_link,
@@ -30,6 +37,12 @@ def qfunc(x):
 
 def free_running_for_rho(rho, ts):
     return OscillatorParams(f3db=0.0, l100_sq=rho / (math.pi * 1e10 * ts))
+
+
+SAT = OscillatorParams.from_db(10.0, -88.0, -114.0)
+# a free-running member plus a PLL member with a floor
+WIENER_PLL = CompositeModel((OscillatorParams.from_db(0.0, -100.0),
+                             OscillatorParams.from_db(5e3, -95.0, -130.0)))
 
 
 class TestRrcTaps:
@@ -100,14 +113,19 @@ class TestPolyphaseChain:
         layout = build_pilot_layout(cfg.n_symbols, 0, cfg.pilot_period)
         qpsk = Constellation("qpsk")
         tx = qpsk.map_bits(np.random.default_rng(osf).integers(0, 2, (layout.n_tx, 2)))
-        y, g0 = linksim._simulate_ct(cfg, tx, layout, None, 4321, None)
+        # streamed in pieces shorter and longer than the filter span
+        chain = linksim._Oversampled(cfg)
+        out = [chain.push(piece) for piece in np.split(tx, [1, 4, 40, 300])]
+        out.append(chain.finish())
+        y = np.concatenate([o[0] for o in out])
+        g0 = np.concatenate([o[1] for o in out])
 
         pad_bits = linksim._sub_rng(cfg.seed, linksim._SEED_PAD).integers(0, 2, (2 * span, 2))
         pads = qpsk.map_bits(pad_bits)
         seq = np.concatenate([pads[:span], tx, pads[span:]])
         h = rrc_taps(rolloff, span, osf)
         theta = gen_composite(model, cfg.ts / osf, seq.size * osf + h.size - 1,
-                              4321).samples
+                              member_seed(cfg.seed, linksim._SEED_PN)).samples
         y_ref, g0_ref = oracles.oversampled_chain(seq, h, osf, theta, span, layout.n_tx)
         assert np.max(np.abs(y - y_ref)) < 1e-12
         assert np.max(np.abs(g0 - g0_ref)) < 1e-12
@@ -324,6 +342,44 @@ class TestConfig:
         back = LinkConfig.from_json(cfg.to_json())
         assert back == cfg
 
+    def test_json_bytes_are_stable(self):
+        # the document written by earlier releases, byte for byte; it must
+        # also still read back
+        cfg = LinkConfig(constellation="qam16", rolloff=0.2, osf=5,
+                         n_symbols=1000, ts=1e-8, pn_mode="ct",
+                         pn_model=OscillatorParams.from_db(10.0, -88.0, -114.0),
+                         esn0_db=12.0, pilot_len=36, pilot_period=1476,
+                         seed=55, filter_span=48)
+        text = """{
+  "constellation": "qam16",
+  "esn0_db": 12.0,
+  "filter_span": 48,
+  "n_symbols": 1000,
+  "osf": 5,
+  "pilot_len": 36,
+  "pilot_period": 1476,
+  "pn_mode": "ct",
+  "pn_model": [
+    {
+      "f3db": 10.0,
+      "f_ref": 100000.0,
+      "l100_sq": 1.584893192461111e-09,
+      "linf_sq": 3.9810717055349695e-12
+    }
+  ],
+  "rolloff": 0.2,
+  "seed": 55,
+  "ts": 1e-08,
+  "version": 1
+}"""
+        assert cfg.to_json() == text
+        assert LinkConfig.from_json(text) == cfg
+        assert LinkConfig().to_json() == (
+            '{\n  "constellation": "qpsk",\n  "esn0_db": null,\n  "filter_span": 32,\n'
+            '  "n_symbols": 100000,\n  "osf": 5,\n  "pilot_len": 36,\n'
+            '  "pilot_period": 1476,\n  "pn_mode": "none",\n  "pn_model": null,\n'
+            '  "rolloff": 0.3,\n  "seed": 1,\n  "ts": 1e-07,\n  "version": 1\n}')
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LinkConfig(constellation="8psk")
@@ -331,8 +387,10 @@ class TestConfig:
             LinkConfig(pilot_len=2000, pilot_period=1476)
         with pytest.raises(ValueError):
             LinkConfig(pn_mode="ct", pn_model=None)
-        with pytest.raises(ValueError):
-            LinkConfig(n_symbols=20_000_000, osf=5)
+        with pytest.raises(ValueError, match="integer"):
+            LinkConfig(osf="5")
+        with pytest.raises(ValueError, match="number"):
+            LinkConfig(rolloff=True)
 
     def test_determinism(self):
         cfg = LinkConfig(constellation="qpsk", rolloff=0.3, osf=5,
@@ -344,3 +402,131 @@ class TestConfig:
         assert a == b
         c = simulate_link(LinkConfig(**{**cfg.__dict__, "seed": 78}))
         assert c.ber != a.ber or c.sir_db != a.sir_db
+
+
+class TestChunking:
+    """A run streams in chunks of whole frames; the chunk size changes nothing."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(chunk=st.integers(1, 40_000),
+           mode=st.sampled_from(["dt", "ct", "none"]),
+           constellation=st.sampled_from(["qpsk", "qam16"]),
+           pilots=st.one_of(st.just((0, 1476)),
+                            st.tuples(st.integers(1, 40), st.integers(41, 1500))),
+           esn0_db=st.sampled_from([None, 12.0]),
+           osf=st.integers(2, 6),
+           span=st.sampled_from([16, 17, 33]),
+           n_symbols=st.integers(1, 25_000),
+           seed=st.integers(0, 2 ** 32))
+    def test_stats_equal_at_any_chunk_size(self, chunk, mode, constellation, pilots,
+                                           esn0_db, osf, span, n_symbols, seed):
+        cfg = LinkConfig(constellation=constellation, osf=osf, n_symbols=n_symbols,
+                         pn_mode=mode, pn_model=None if mode == "none" else SAT,
+                         esn0_db=esn0_db, pilot_len=pilots[0], pilot_period=pilots[1],
+                         seed=seed, filter_span=span)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with mock.patch.object(linksim, "CHUNK_SYMBOLS", chunk):
+                chunked = simulate_link(cfg)
+            with mock.patch.object(linksim, "CHUNK_SYMBOLS", 10 ** 9):
+                whole = simulate_link(cfg)
+        assert chunked == whole
+
+    @pytest.mark.parametrize("mode", ["dt", "ct"])
+    def test_channel_output_bit_identical(self, monkeypatch, mode):
+        # the received samples themselves, not only the statistics
+        cfg = LinkConfig(n_symbols=30_000, pn_mode=mode, pn_model=SAT, esn0_db=10.0,
+                         pilot_len=20, pilot_period=500, seed=4, filter_span=17)
+
+        def run(chunk):
+            monkeypatch.setattr(linksim, "CHUNK_SYMBOLS", chunk)
+            out = list(linksim._received(cfg, Constellation("qpsk")))
+            return [np.concatenate([o[k] for o in out]) for k in (1, 2)]
+
+        y, g0 = run(10 ** 9)
+        for chunk in (1, 700, 5000):
+            y_c, g0_c = run(chunk)
+            assert np.array_equal(y_c, y) and np.array_equal(g0_c, g0)
+
+    def test_tracking_in_pieces_matches_one_pass(self):
+        # frame by frame, carrying the last field, against one pass over a
+        # sequence long enough for numpy to evaluate products in place
+        lay = build_pilot_layout(60_000, 36, 1476)
+        rng = np.random.default_rng(8)
+        tx = Constellation("qpsk").map_bits(rng.integers(0, 2, (lay.n_tx, 2)))
+        rx = tx * np.exp(1j * np.cumsum(rng.normal(0.0, 0.01, lay.n_tx)))
+        pil = tx[lay.pilot_positions()].reshape(lay.n_fields, lay.pilot_len)
+        whole, _, _ = pilot_phase_track(rx, lay, pil.ravel())
+        idx = lay.field_starts[:, None] + np.arange(lay.pilot_len)[None, :]
+        pieces, prev = [], None
+        for k in range(lay.n_fields - 1):  # info run k lies between fields k and k+1
+            fields = [k, k + 1] if prev is None else [k + 1]
+            pos = np.arange(lay.field_starts[k] + lay.pilot_len, lay.field_starts[k + 1])
+            out, phi, _ = linksim._track(rx[pos], pos.astype(float), rx[idx[fields]],
+                                         pil[fields], lay.centers[fields], prev)
+            prev = (lay.centers[k + 1], phi[-1])
+            pieces.append(out)
+        assert np.array_equal(np.concatenate(pieces), whole[lay.info_positions])
+
+    @pytest.mark.parametrize("chunk", [1, 3 * 1512])
+    def test_many_chunks_with_phase_noise_and_pilots(self, monkeypatch, chunk):
+        # 16-QAM under a Wiener + PLL composite, chunks of one and of three
+        # frames against one chunk
+        cfg = LinkConfig(constellation="qam16", n_symbols=60_000, pn_mode="dt",
+                         pn_model=WIENER_PLL, esn0_db=17.0, pilot_len=36,
+                         pilot_period=1476, seed=5)
+        whole = simulate_link(cfg)
+        monkeypatch.setattr(linksim, "CHUNK_SYMBOLS", chunk)
+        assert simulate_link(cfg) == whole
+        assert whole.n_errors > 0
+
+    @pytest.mark.parametrize("mode,constellation,model", [
+        ("dt", "qam16", WIENER_PLL), ("ct", "qpsk", SAT)])
+    def test_memory_does_not_grow_with_run_length(self, mode, constellation, model):
+        peaks = []
+        for n in (200_000, 1_600_000):
+            cfg = LinkConfig(constellation=constellation, n_symbols=n, pn_mode=mode,
+                             pn_model=model, esn0_db=17.0, pilot_len=36,
+                             pilot_period=1476, seed=3)
+            tracemalloc.start()
+            try:
+                simulate_link(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.3 * peaks[0]
+
+    def test_long_run_config_constructs(self):
+        cfg = LinkConfig(n_symbols=10_000_000, osf=5, pn_mode="ct", pn_model=SAT)
+        assert cfg.n_symbols * cfg.osf == 50_000_000
+
+    def test_unwrap_warns_once_at_the_caller(self, monkeypatch):
+        # a phase ramp of 2 rad per frame: every field after the first
+        # jumps by more than pi/2, and chunks of three frames put jumps on
+        # chunk edges
+        period, plen = 200, 10
+        frame = period + plen
+
+        class Ramp:
+            def __init__(self, model, ts, seed):
+                self.k = 0
+
+            def take(self, n):
+                out = (2.0 / frame) * (self.k + np.arange(n))
+                self.k += n
+                return out
+
+        monkeypatch.setattr(linksim, "CompositeGenerator", Ramp)
+        monkeypatch.setattr(linksim, "CHUNK_SYMBOLS", 3 * frame)
+        cfg = LinkConfig(n_symbols=20_000, pn_mode="dt", pn_model=SAT,
+                         pilot_len=plen, pilot_period=period, seed=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stats = simulate_link(cfg)
+        unwrap = [w for w in caught if "unwrap" in str(w.message)]
+        n_fields = math.ceil(cfg.n_symbols / period) + 1
+        assert stats.unwrap_flags == n_fields - 1
+        assert len(unwrap) == 1
+        assert str(n_fields - 1) in str(unwrap[0].message)
+        assert unwrap[0].filename == __file__
+        assert stats.ber == 0.0  # the tracker follows the ramp

@@ -5,11 +5,14 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 
 from phasenoise import (
     ArCoefficients,
+    CompositeGenerator,
     CompositeModel,
     OscillatorParams,
     ar_coefficients,
@@ -278,3 +281,33 @@ def test_member_seed_is_stable():
     seeds = {member_seed(123, i) for i in range(32)}
     assert len(seeds) == 32
     assert member_seed(123, 0) != member_seed(124, 0)
+
+
+class TestStreamingGenerator:
+    MODELS = {
+        "ar": SAT_NOFLOOR,
+        "wiener": OscillatorParams.from_db(0.0, -90.0),
+        "floor": SAT,
+        "composite": CompositeModel((OscillatorParams.from_db(0.0, -100.0),
+                                     OscillatorParams.from_db(5e3, -95.0, -130.0))),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(MODELS)),
+           sizes=st.lists(st.integers(0, 3000), min_size=1, max_size=12),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_blocks_concatenate_to_gen_composite(self, name, sizes, seed):
+        n = sum(sizes) + 1
+        gen = CompositeGenerator(self.MODELS[name], 1e-7, seed)
+        blocks = [gen.take(k) for k in sizes] + [gen.take(1)]
+        whole = gen_composite(self.MODELS[name], 1e-7, n, seed)
+        assert np.array_equal(np.concatenate(blocks), whole.samples)
+        assert gen.model == whole.model
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 4096])
+    def test_fixed_block_sizes(self, block):
+        model = self.MODELS["composite"]
+        gen = CompositeGenerator(model, 1e-7, 11)
+        got = np.concatenate([gen.take(block) for _ in range(20_000 // block + 1)])
+        want = gen_composite(model, 1e-7, got.size, 11).samples
+        assert np.array_equal(got, want)
