@@ -83,8 +83,8 @@ def _coerce(rho):
             raise ValueError(f"rho must be > 0, got {x}")
         return x
     x = float(x)
-    if not x > 0:
-        raise ValueError(f"rho must be > 0, got {x}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"rho must be finite and > 0, got {x}")
     return x
 
 
@@ -98,7 +98,7 @@ def _atan_minus_x(x: float) -> float:
         while True:
             c = sign * term / (2 * k + 1)
             s += c
-            if abs(c) < 1e-24 * max(abs(s), 1e-300):
+            if abs(c) <= 1e-24 * abs(s):  # also when the terms underflow to 0
                 return s
             term *= x * x
             k += 1

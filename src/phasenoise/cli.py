@@ -21,6 +21,7 @@ from .analysis import (
     eta_d,
     eta_isi,
     normalized_aliasing,
+    sir_for_pulse,
     sir_from_rho,
 )
 from .fitting import fit_composite, fit_single
@@ -194,17 +195,16 @@ def _cmd_autocorr(args) -> int:
 def _cmd_gen(args) -> int:
     model = _parse_model(args)
     stream = gen_composite(model, args.ts, args.n, args.seed)
+    to_stdout = args.output in (None, "-")
     if args.binary:
-        if args.output in (None, "-"):
+        if to_stdout:
             raise ValueError("--binary needs --output PATH")
         save_stream_bin(stream, args.output)
-    elif args.output in (None, "-"):
+    elif to_stdout:
         sys.stdout.write(f"# tool=phasenoise\n# version={__version__}\n"
                          f"# model={_model_meta(model)}\n"
                          f"# ts={args.ts!r}\n# seed={args.seed}\n")
-        sys.stdout.write("k,theta_rad\n")
-        for k, th in enumerate(stream.samples):
-            sys.stdout.write(f"{k},{float(th)!r}\n")
+        save_stream_csv(stream, sys.stdout)
     else:
         save_stream_csv(stream, args.output)
     return 0
@@ -287,11 +287,13 @@ def _cmd_sir(args) -> int:
                              esn0_db=None, pilot_len=0, seed=args.seed,
                              filter_span=span)
             stats = simulate_link(cfg)
-            rows.append([float(r), stats.sir_db, stats.sir_se_db, beta, closed_db])
+            # the closed form of the simulated taps, next to the sinc form
+            pulse_db = 10.0 * math.log10(sir_for_pulse(beta, float(r), span, args.osf))
+            rows.append([float(r), stats.sir_db, stats.sir_se_db, beta, closed_db, pulse_db])
     meta = _meta(args, seed=args.seed, n_symbols=args.n_symbols, osf=args.osf,
                  ts=repr(args.ts))
     OutputWriter(args.output, args.format, meta).write(
-        ["rho", "sir_db", "se", "rolloff", "closed_form_db"], rows)
+        ["rho", "sir_db", "se", "rolloff", "closed_form_db", "closed_form_pulse_db"], rows)
     return 0
 
 

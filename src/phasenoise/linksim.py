@@ -4,8 +4,11 @@ Linear modulation with root-raised-cosine shaping, multiplicative phase
 noise applied either on the oversampled (continuous-time surrogate)
 waveform or directly on the symbol-rate samples, matched filtering,
 pilot-aided phase tracking, and SIR/EVM/BER/SER measurement.  Shaping,
-matched filter and direct-path gain are polyphase FIRs (``upfirdn``)
-evaluated only at the samples the link consumes.
+matched filter and direct-path gain are one overlap-save FFT block
+filter (``_fft_filter``) that interpolates or decimates by osf in the
+frequency domain; the decimating filters compute only the symbol
+instants the link consumes.  The blocks lie on a fixed grid of absolute
+positions, and their cost is nearly flat in the filter span.
 
 A run streams in chunks of whole pilot frames (``CHUNK_SYMBOLS``), so its
 memory does not grow with ``n_symbols``; the statistics are
@@ -28,7 +31,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.signal import upfirdn
+from scipy.fft import fft, ifft, next_fast_len
 
 from .params import CompositeModel, OscillatorParams, as_composite
 # gen_composite stays a module attribute: perfbench/spans.py wraps linksim.gen_composite
@@ -107,20 +110,16 @@ def rrc_taps(rolloff: float, span_symbols: int = 32, osf: int = 5) -> np.ndarray
     if rolloff == 0.0:
         h = np.sinc(t)
     else:
-        h = np.empty(n)
-        t_sing = 1.0 / (4.0 * rolloff)
-        for i, ti in enumerate(t):
-            if ti == 0.0:
-                h[i] = 1.0 - rolloff + 4.0 * rolloff / math.pi
-            elif abs(abs(ti) - t_sing) < 1e-10:
-                h[i] = (rolloff / math.sqrt(2.0)) * (
-                    (1.0 + 2.0 / math.pi) * math.sin(math.pi / (4.0 * rolloff))
-                    + (1.0 - 2.0 / math.pi) * math.cos(math.pi / (4.0 * rolloff)))
-            else:
-                num = (math.sin(math.pi * ti * (1.0 - rolloff))
-                       + 4.0 * rolloff * ti * math.cos(math.pi * ti * (1.0 + rolloff)))
-                den = math.pi * ti * (1.0 - (4.0 * rolloff * ti) ** 2)
-                h[i] = num / den
+        with np.errstate(divide="ignore", invalid="ignore"):
+            num = (np.sin(math.pi * t * (1.0 - rolloff))
+                   + 4.0 * rolloff * t * np.cos(math.pi * t * (1.0 + rolloff)))
+            # float_power squares with libm pow per element, as the scalar
+            # form did; a plain product differs in the last bit at some taps
+            h = num / (math.pi * t * (1.0 - np.float_power(4.0 * rolloff * t, 2.0)))
+        h[np.abs(np.abs(t) - 1.0 / (4.0 * rolloff)) < 1e-10] = (rolloff / math.sqrt(2.0)) * (
+            (1.0 + 2.0 / math.pi) * math.sin(math.pi / (4.0 * rolloff))
+            + (1.0 - 2.0 / math.pi) * math.cos(math.pi / (4.0 * rolloff)))
+        h[t == 0.0] = 1.0 - rolloff + 4.0 * rolloff / math.pi
     h[(n + 1) // 2:] = h[: n // 2][::-1]  # enforce exact symmetry
     return h / math.sqrt(np.sum(h * h) / osf)
 
@@ -473,6 +472,8 @@ def measure_sir(tx_symbols: np.ndarray, rx_symbols: np.ndarray,
 CHUNK_SYMBOLS = 1 << 16
 # information symbols per frame when there are no pilots
 _PLAIN_FRAME = 4096
+# real symbols per block of the oversampled chain's FFT filters
+_BLOCK = 2048
 
 
 def _esn0(cfg: LinkConfig) -> float | None:
@@ -489,9 +490,21 @@ def _complex_awgn(rng: np.random.Generator, n: int, variance: float) -> np.ndarr
     return w
 
 
-def _fir(taps: np.ndarray, x: np.ndarray, up: int = 1, down: int = 1) -> np.ndarray:
-    """Real-tap polyphase FIR of a complex signal: upsample, filter, decimate."""
-    return upfirdn(taps, x.real, up, down) + 1j * upfirdn(taps, x.imag, up, down)
+def _fft_filter(x: np.ndarray, spectrum: np.ndarray, osf: int, up: bool) -> np.ndarray:
+    """One overlap-save block of a real-tap FIR between the symbol rate and
+    osf times it: a circular convolution whose length is ``spectrum.size``
+    (the DFT of the taps, a multiple of osf).
+
+    With ``up``, ``x`` holds symbols: zero-stuffing them by osf tiles their
+    spectrum osf times.  Otherwise ``x`` holds waveform samples and only
+    every osf-th output is kept: the product spectrum is folded onto its
+    first 1/osf (``spectrum`` carries the 1/osf of the fold).
+    """
+    n = spectrum.size // osf
+    if up:
+        return ifft((spectrum.reshape(osf, n) * fft(x, n)).ravel(), overwrite_x=True)
+    folded = (fft(x, spectrum.size) * spectrum).reshape(osf, n).sum(axis=0)
+    return ifft(folded, overwrite_x=True)
 
 
 @dataclass(frozen=True)
@@ -564,76 +577,98 @@ class _SymbolRate:
 
 
 class _Oversampled:
-    """``ct``/``none`` channel: the oversampled chain, streamed.
+    """``ct``/``none`` channel: the oversampled chain, in FFT blocks.
 
     Pads ``span`` random QPSK symbols on each side so that every real
-    symbol has full filter support, shapes with ``upfirdn(h, seq, osf)``,
-    applies the phasor (``ct``) and AWGN on the waveform, and evaluates
-    the matched filter and the direct-path gain ``g0`` only at the symbol
-    instants; real symbol i peaks at output 2*span + i (span pad symbols
-    plus the span-symbol delay of h * h).
+    symbol has full filter support, shapes by osf, applies the phasor
+    (``ct``) and AWGN on the waveform, and evaluates the matched filter and
+    the direct-path gain ``g0`` only at the symbol instants: real symbol
+    i peaks ``span`` symbol slots after the start of its own.
 
-    ``push`` returns the outputs of the symbols whose instants it
-    completes; they lag its input by ``span`` symbols, and ``finish``
-    returns the rest.  Across pushes it carries ``span`` symbols of
-    shaping history and ``span*osf`` waveform samples (received signal
-    and phasor) of receive-filter history.  Every output sums the same
-    terms in the same order as one whole-sequence pass.
+    The three filters are overlap-save FFT blocks (``_fft_filter``) on a
+    grid of absolute positions that only ``_BLOCK`` (B) sets.  Block b
+    shapes the waveform of the slots of real symbols bB .. (b+1)B-1 from
+    those symbols and the ``span`` before them, then filters it, after
+    the ``span*osf`` samples before it, into the outputs of real symbols
+    bB-span .. (b+1)B-span-1.  ``push`` buffers its input until a block
+    is complete, so its outputs lag its input by ``span`` to B+span
+    symbols; ``finish`` completes the last block with the tail pads and
+    zeros.  A block's input does not depend on the push sizes, so neither
+    do the bits of its outputs.  Filter cost per symbol is set by the FFT
+    length, next_fast_len(B + span) symbols, and so is nearly flat in span.
     """
 
     def __init__(self, cfg: LinkConfig):
-        self.osf, self.span = cfg.osf, cfg.filter_span
-        h = rrc_taps(cfg.rolloff, self.span, self.osf)
-        self.h, self.h_mf, self.h_g0 = h, h / self.osf, h * h / self.osf
+        osf, span = self.osf, self.span = cfg.osf, cfg.filter_span
+        h = rrc_taps(cfg.rolloff, span, osf)
+        size = next_fast_len(_BLOCK + span) * osf
+        # tap spectra of shaping, matched filter and direct-path gain
+        self.h = fft(h, size)
+        self.h_mf = fft(h / osf, size) / osf
+        self.h_g0 = fft(h * h / osf, size) / osf
         pad_rng = _sub_rng(cfg.seed, _SEED_PAD)
-        pads = Constellation("qpsk").map_bits(pad_rng.integers(0, 2, (2 * self.span, 2)))
-        self.seq, self.tail = pads[:self.span], pads[self.span:]
-        self.m0 = 0    # sequence index of seq[0]
-        self.w = 0     # waveform samples made so far
-        self.j = 0     # next receive-filter output
-        self.w0 = 0    # waveform index of rx[0] and ph[0]
-        self.rx = np.empty(0, dtype=complex)
-        self.ph = np.empty(0, dtype=complex)
-        self.pn = None
+        pads = Constellation("qpsk").map_bits(pad_rng.integers(0, 2, (2 * span, 2)))
+        self.seq, self.tail = pads[:span], pads[span:]  # symbols from bB-span on
+        self.b = 0      # next block
+        self.n_in = 0   # real symbols pushed
+        self.hist = span * osf
+        # receive-filter input of a block: history, then the block's waveform
+        self.rx = np.zeros(self.hist + _BLOCK * osf, dtype=complex)
+        self.ph = self.pn = None
         if cfg.pn_mode == "ct":
-            self.pn = CompositeGenerator(cfg.pn_model, cfg.ts / self.osf,
+            self.pn = CompositeGenerator(cfg.pn_model, cfg.ts / osf,
                                          member_seed(cfg.seed, _SEED_PN))
+            self.ph = np.zeros_like(self.rx)
         self.awgn = _sub_rng(cfg.seed, _SEED_AWGN)
         esn0 = _esn0(cfg)
-        self.variance = None if esn0 is None else self.osf / esn0
+        self.variance = None if esn0 is None else osf / esn0
+        # the waveform of the leading pads feeds only outputs that are
+        # dropped: its history stays zero, but its phasor and noise are
+        # drawn so that every later sample gets the same draws
+        self._impair(np.zeros(self.hist, dtype=complex), np.empty(self.hist, dtype=complex))
 
-    def push(self, tx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        osf, span = self.osf, self.span
-        seq = np.concatenate([self.seq, tx])
-        m_end = self.m0 + seq.size
-        # waveform samples below m_end*osf depend on known symbols only
-        w_end = m_end * osf
-        wave = _fir(self.h, seq, up=osf)[self.w - self.m0 * osf:w_end - self.m0 * osf]
-        self.seq, self.m0, self.w = seq[-span:], m_end - span, w_end
-
-        rx, ph = np.concatenate([self.rx, wave]), None
-        new = rx[rx.size - wave.size:]
+    def _impair(self, wave: np.ndarray, phasor: np.ndarray) -> None:
+        """Apply the phasor (into ``phasor``) and the AWGN to ``wave`` in place."""
         if self.pn is not None:
-            phasor = np.exp(1j * self.pn.take(wave.size))
-            new *= phasor
-            ph = np.concatenate([self.ph, phasor])
+            np.exp(1j * self.pn.take(wave.size), out=phasor)
+            wave *= phasor
         if self.variance is not None:
-            new += _complex_awgn(self.awgn, wave.size, self.variance)
+            wave += _complex_awgn(self.awgn, wave.size, self.variance)
 
-        # receive-filter outputs self.j .. m_end-1 are now complete; output
-        # k of a filter pass over rx is output w0/osf + k
-        base = self.w0 // osf
-        pick = slice(max(self.j, 2 * span) - base, m_end - base)
-        y = _fir(self.h_mf, rx, down=osf)[pick]
-        g0 = None if ph is None else _fir(self.h_g0, ph, down=osf)[pick]
-        keep = max(0, (m_end - span) * osf - self.w0)  # history of the next outputs
-        self.rx, self.w0, self.j = rx[keep:], self.w0 + keep, m_end
-        if ph is not None:
-            self.ph = ph[keep:]
+    def _block(self) -> tuple[np.ndarray, np.ndarray | None]:
+        osf, span, hist, B = self.osf, self.span, self.hist, _BLOCK
+        n = min(B, self.seq.size - span) * osf  # waveform samples; fewer only at the end
+        wave = _fft_filter(self.seq[:B + span], self.h, osf, up=True)
+        for buf in (self.rx, self.ph):
+            if buf is not None:
+                buf[:hist] = buf[buf.size - hist:]
+                buf[hist + n:] = 0.0
+        new = self.rx[hist:hist + n]
+        new[:] = wave[hist:hist + n]
+        self._impair(new, None if self.ph is None else self.ph[hist:hist + n])
+        # outputs of real symbols lo .. lo+B-1; keep those of 0 .. n_in-1
+        lo = self.b * B - span
+        keep = slice(max(0, -lo), self.n_in - lo)
+        y = _fft_filter(self.rx, self.h_mf, osf, up=False)[span:span + B][keep]
+        g0 = None if self.ph is None else \
+            _fft_filter(self.ph, self.h_g0, osf, up=False)[span:span + B][keep]
+        self.seq, self.b = self.seq[B:], self.b + 1
         return y, g0
 
+    def _run(self, tx: np.ndarray, last: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        self.seq = np.concatenate([self.seq, tx])
+        out = [(np.empty(0, dtype=complex),) * 2]
+        while self.seq.size >= _BLOCK + self.span or (last and self.seq.size > self.span):
+            out.append(self._block())
+        y = np.concatenate([o[0] for o in out])
+        return y, None if self.ph is None else np.concatenate([o[1] for o in out])
+
+    def push(self, tx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        self.n_in += tx.size
+        return self._run(tx, last=False)
+
     def finish(self) -> tuple[np.ndarray, np.ndarray | None]:
-        return self.push(self.tail)
+        return self._run(self.tail, last=True)
 
 
 def _received(cfg: LinkConfig, const: Constellation):

@@ -21,6 +21,8 @@ def load_points(path) -> np.ndarray:
         for line in reader:
             if not line or line[0].lstrip().startswith("#"):
                 continue
+            if len(line) < 2:
+                raise ValueError(f"{path}: line {reader.line_num}: expected freq_hz,level_db")
             rows.append((float(line[0]), float(line[1])))
     pts = np.asarray(rows, dtype=float)
     if pts.size == 0:

@@ -183,6 +183,35 @@ def pulse_gammas(pulse: np.ndarray, ov: int, rho: float, nlag: int) -> np.ndarra
     return g
 
 
+def rrc_taps_loop(rolloff: float, span_symbols: int, osf: int) -> np.ndarray:
+    """Root-raised-cosine taps evaluated tap by tap with scalar math.
+
+    The per-tap form ``linksim.rrc_taps`` had before it was vectorized,
+    kept as the reference its taps must equal bit for bit.
+    """
+    n = span_symbols * osf + 1
+    t = (np.arange(n) - (n - 1) / 2) / osf
+    if rolloff == 0.0:
+        h = np.sinc(t)
+    else:
+        h = np.empty(n)
+        t_sing = 1.0 / (4.0 * rolloff)
+        for i, ti in enumerate(t):
+            if ti == 0.0:
+                h[i] = 1.0 - rolloff + 4.0 * rolloff / math.pi
+            elif abs(abs(ti) - t_sing) < 1e-10:
+                h[i] = (rolloff / math.sqrt(2.0)) * (
+                    (1.0 + 2.0 / math.pi) * math.sin(math.pi / (4.0 * rolloff))
+                    + (1.0 - 2.0 / math.pi) * math.cos(math.pi / (4.0 * rolloff)))
+            else:
+                num = (math.sin(math.pi * ti * (1.0 - rolloff))
+                       + 4.0 * rolloff * ti * math.cos(math.pi * ti * (1.0 + rolloff)))
+                den = math.pi * ti * (1.0 - (4.0 * rolloff * ti) ** 2)
+                h[i] = num / den
+    h[(n + 1) // 2:] = h[: n // 2][::-1]
+    return h / math.sqrt(np.sum(h * h) / osf)
+
+
 def oversampled_chain(seq: np.ndarray, taps: np.ndarray, osf: int, theta: np.ndarray,
                       n_pad: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
     """Full-length reference of the oversampled link chain (no AWGN).

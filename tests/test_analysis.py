@@ -106,6 +106,15 @@ class TestEta:
             eta(0.0)
         with pytest.raises(ValueError):
             eta_isi(-1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                gamma0(bad)
+
+    def test_huge_rho_terminates(self):
+        # 1/rho**3 underflows in the atan(x) - x series; the loop still ends
+        for r in (1e120, 1e200):
+            eta_isi(r)
+            gamma0(r)
 
 
 class TestGamma:

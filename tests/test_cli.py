@@ -1,14 +1,17 @@
 """CLI: exit codes, output schemas, reproducibility."""
 
+import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from phasenoise import OscillatorParams, gen_composite, load_points, save_points, pn_psd
+from phasenoise import (OscillatorParams, __version__, gen_composite, load_points, pn_psd,
+                        save_points, sir_for_pulse, timegen)
 from phasenoise.cli import run
 from phasenoise.timegen import load_stream_bin
 
@@ -163,6 +166,23 @@ class TestGen:
         want = gen_composite(OscillatorParams.from_db(10, -88, -114), 1e-7, 256, 4)
         assert np.array_equal(stream.samples, want.samples)
 
+    def test_csv_bytes_pinned(self, capsys, tmp_path, monkeypatch):
+        # stdout and file bytes of a small run, written in blocks of 7 rows
+        # and in one block, against the bytes of the per-row writer
+        argv = ["gen", "--f3db", "10", "--l100-db", "-88", "--linf-db", "-114",
+                "--ts", "1e-7", "--n", "1000", "--seed", "9"]
+        header = (f"# tool=phasenoise\n# version={__version__}\n"
+                  "# model=f3db=10,l100_db=-88,linf_db=-114\n# ts=1e-07\n# seed=9\n")
+        for rows in (7, timegen._CSV_ROWS):
+            monkeypatch.setattr(timegen, "_CSV_ROWS", rows)
+            path = tmp_path / f"s{rows}.csv"
+            assert run(argv + ["-o", str(path)]) == 0
+            body = path.read_bytes()
+            assert hashlib.sha256(body).hexdigest() == (
+                "8385f73cc40a9900e30f52d7e54c333038ac5a3a1d03e9e4883d6a7e5efb9398")
+            code, out, _ = run_capture(capsys, argv)
+            assert code == 0 and out.encode() == header.encode() + body
+
     def test_byte_determinism(self, capsys):
         argv = ["gen", "--f3db", "10", "--l100-db", "-88", "--ts", "1e-7",
                 "--n", "128", "--seed", "31"]
@@ -192,9 +212,22 @@ class TestSirBer:
             "--seed", "2"])
         assert code == 0
         lines = data_section(out).splitlines()
-        assert lines[0] == "rho,sir_db,se,rolloff,closed_form_db"
+        assert lines[0] == "rho,sir_db,se,rolloff,closed_form_db,closed_form_pulse_db"
         vals = [float(x) for x in lines[1].split(",")]
         assert vals[1] > vals[4]  # measured above the sinc closed form
+        assert vals[5] == pytest.approx(10 * math.log10(sir_for_pulse(0.5, 1e-3, 32, 5)))
+
+    def test_sir_within_4_se_of_pulse_closed_form(self, capsys):
+        # the sinc column lies 3-16 dB below the measurement; the pulse
+        # column is the closed form of the simulated taps (span 96 at 0.05)
+        code, out, _ = run_capture(capsys, [
+            "sir", "--rho", "1e-3", "--rolloffs", "0.05,0.5", "--n-symbols", "100000"])
+        assert code == 0
+        rows = [[float(x) for x in ln.split(",")] for ln in data_section(out).splitlines()[1:]]
+        assert [r[3] for r in rows] == [0.05, 0.5]
+        for _, sir_db, se, _, sinc_db, pulse_db in rows:
+            assert abs(sir_db - pulse_db) < 4 * se
+            assert pulse_db - sinc_db > 3.0
 
     def test_ber_awgn_point(self, capsys):
         code, out, _ = run_capture(capsys, [
@@ -293,6 +326,96 @@ def test_ber_config_fuzz_never_tracebacks(tmp_path, capsys, doc):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     code = run(["ber", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+# random argv for every subcommand: each option is left out or given a
+# value drawn from valid, boundary and malformed strings; the sizes (`--n`,
+# `--n-symbols`, `--segment-len`, `--span`, `--osf`) stay small so that
+# every accepted run is short
+_REAL = st.sampled_from(["1", "10", "-1", "0", "1e-7", "1e5", "-88", "-114", "nan",
+                         "inf", "-inf", "1e308", "-1e308", "x", ""])
+_PAIR = st.sampled_from(["10,-88", "1e3,-90,-120", "0,-100", "5e3,-95,-130", "1,2,3,4",
+                         "x,1", "", "nan,-88", "-1,-88", "1e9,300", "3e3,2.37", "1,3.3"])
+_LIST = st.sampled_from(["6", "6,8", "0.05", "0.05,0.5", "0.3", "0", "1", "-1", "2",
+                         "nan", "inf", "-inf", "x", "", ",", "1e-3,1e-2"])
+_SWEEP = st.sampled_from(["1e-4:1e-2:3", "1e-4:1e-2", "1e-3:1e-3:1", "1:2:0", "0:1",
+                          "-1:1", "1e-2:1e-4:2", "nan:1", "1", "1:2:3:4", "x:y"])
+_INT = st.sampled_from(["-1", "0", "1", "2", "3", "x", "1.5"])
+
+
+def _sizes(*values):
+    return st.sampled_from(values + ("-1", "0", "x"))
+
+
+_MODEL = {"--f3db": _REAL, "--l100-db": _REAL, "--linf-db": _REAL, "--f-ref": _REAL,
+          "--process": _PAIR}
+_OPTIONS = {
+    "psd": {**_MODEL, "--fmin": _REAL, "--fmax": _REAL, "--n": _sizes("1", "5", "200"),
+            "--points": st.just("POINTS"), "--phasor": st.just(None),
+            "--threegpp-psd0-db": _REAL, "--threegpp-zero": _PAIR,
+            "--threegpp-pole": _PAIR},
+    "autocorr": {**_MODEL, "--tau-min": _REAL, "--tau-max": _REAL,
+                 "--n": _sizes("1", "5", "200")},
+    "gen": {**_MODEL, "--ts": _REAL, "--n": _sizes("1", "7", "300"), "--seed": _INT,
+            "--binary": st.just(None)},
+    "validate": {**_MODEL, "--ts": _REAL, "--n": _sizes("1", "64", "4096"),
+                 "--seed": _INT, "--segment-len": _sizes("1", "16", "1024", "8192"),
+                 "--band-top-fraction": _REAL},
+    "errors": {"--l100-db": _REAL, "--ts": _REAL, "--f3db": _REAL, "--f-ref": _REAL,
+               "--sweep-rho": _SWEEP},
+    "sir": {"--sweep-rho": _SWEEP, "--rho": _LIST, "--rolloffs": _LIST,
+            "--osf": _sizes("1", "2", "5", "13"), "--ts": _REAL,
+            "--n-symbols": _sizes("1", "17", "3000"), "--span": _sizes("16", "33", "200"),
+            "--seed": _INT},
+    "ber": {**_MODEL, "--esn0-db": _LIST, "--constellation": st.sampled_from(["qpsk", "qam16"]),
+            "--rolloff": _REAL, "--osf": _sizes("1", "2", "5", "13"), "--ts": _REAL,
+            "--n-symbols": _sizes("1", "17", "3000"), "--pn": st.sampled_from(["ct", "dt", "none"]),
+            "--pilot-len": _sizes("1", "36", "5000"), "--pilot-period": _sizes("1", "40", "1476"),
+            "--span": _sizes("16", "33", "200"), "--seed": _INT},
+    "fit": {"--points": st.just("POINTS"), "--k": _sizes("1", "2", "3", "4")},
+}
+# the runs stay short only if the sizes are given
+_REQUIRED = {"validate": ("--n",), "sir": ("--n-symbols",), "ber": ("--n-symbols",)}
+_CELL = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                  st.sampled_from(["", "x", "1e3", "-5", "#", "1e2"]))
+_POINTS_FILE = st.one_of(
+    st.tuples(st.sampled_from(["freq_hz,level_db", " FREQ_HZ, level_db", "f,l", ""]),
+              st.lists(st.lists(_CELL, max_size=3).map(",".join), max_size=8)),
+    st.lists(st.tuples(st.floats(1.0, 1e9), st.floats(-200.0, 0.0)), min_size=1,
+             max_size=12, unique_by=lambda p: p[0]).map(
+        lambda pts: ("freq_hz,level_db", [f"{f!r},{lv!r}" for f, lv in sorted(pts)])),
+).map(lambda t: "\n".join([t[0], *t[1]]) + "\n")
+
+
+@st.composite
+def _argv(draw, subcommand):
+    options = _OPTIONS[subcommand]
+    chosen = draw(st.lists(st.sampled_from(sorted(options)), max_size=6, unique=True))
+    chosen = sorted(set(chosen) | set(_REQUIRED.get(subcommand, ())))
+    argv = [subcommand]
+    for flag in draw(st.permutations(chosen)):
+        value = draw(options[flag])
+        argv += [flag] if value is None else [flag, value]
+    argv += draw(st.sampled_from([[], ["--format", "json"], ["-o", "-"], ["-o", "OUT"],
+                                  ["--no-such-flag"]]))
+    return argv
+
+
+@pytest.mark.parametrize("subcommand", sorted(_OPTIONS))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), points=_POINTS_FILE)
+def test_random_argv_never_tracebacks(tmp_path, capsys, subcommand, data, points):
+    (tmp_path / "points.csv").write_text(points)
+    argv = [str(tmp_path / "points.csv") if a == "POINTS" else
+            str(tmp_path / "out") if a == "OUT" else a
+            for a in data.draw(_argv(subcommand))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = run(argv)
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     assert "Traceback" not in err

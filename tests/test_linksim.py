@@ -90,6 +90,13 @@ class TestRrcTaps:
         assert rc[center] == pytest.approx(1.0, abs=1e-6)
         assert 10 * math.log10(np.max(off ** 2)) < floor_db
 
+    @pytest.mark.parametrize("span,osf", [(32, 5), (96, 5), (33, 8), (16, 2)])
+    def test_bit_equal_to_per_tap_form(self, span, osf):
+        # 0.25 and 0.5 put taps on the singular points |t| = 1/(4 rolloff)
+        for rolloff in (0.05, 0.1, 0.2, 0.25, 0.3, 0.35, 0.5, 1.0):
+            assert np.array_equal(rrc_taps(rolloff, span, osf),
+                                  oracles.rrc_taps_loop(rolloff, span, osf)), rolloff
+
     def test_domain(self):
         with pytest.raises(ValueError):
             rrc_taps(1.5, 32, 5)
@@ -100,22 +107,21 @@ class TestRrcTaps:
 
 
 class TestPolyphaseChain:
-    @pytest.mark.parametrize("osf", [2, 5, 8])
-    @pytest.mark.parametrize("rolloff", [0.0, 0.3])
-    @pytest.mark.parametrize("span", [16, 33])
-    def test_matches_full_length_chain(self, osf, rolloff, span):
-        # the polyphase filters against zero-stuffing and full convolutions;
-        # a symbol-instant offset wrong by one sample fails by O(1)
+    """The FFT block chain against zero-stuffing and full convolutions.
+
+    A symbol-instant offset wrong by one sample fails by O(1).
+    """
+
+    @staticmethod
+    def _check(osf, rolloff, span, n_symbols, cuts):
         model = OscillatorParams.from_db(10.0, -70.0, -100.0)
-        cfg = LinkConfig(rolloff=rolloff, osf=osf, n_symbols=700, pn_mode="ct",
+        cfg = LinkConfig(rolloff=rolloff, osf=osf, n_symbols=n_symbols, pn_mode="ct",
                          pn_model=model, esn0_db=None, pilot_len=0, seed=12,
                          filter_span=span)
-        layout = build_pilot_layout(cfg.n_symbols, 0, cfg.pilot_period)
         qpsk = Constellation("qpsk")
-        tx = qpsk.map_bits(np.random.default_rng(osf).integers(0, 2, (layout.n_tx, 2)))
-        # streamed in pieces shorter and longer than the filter span
+        tx = qpsk.map_bits(np.random.default_rng(osf).integers(0, 2, (n_symbols, 2)))
         chain = linksim._Oversampled(cfg)
-        out = [chain.push(piece) for piece in np.split(tx, [1, 4, 40, 300])]
+        out = [chain.push(piece) for piece in np.split(tx, cuts)]
         out.append(chain.finish())
         y = np.concatenate([o[0] for o in out])
         g0 = np.concatenate([o[1] for o in out])
@@ -126,10 +132,33 @@ class TestPolyphaseChain:
         h = rrc_taps(rolloff, span, osf)
         theta = gen_composite(model, cfg.ts / osf, seq.size * osf + h.size - 1,
                               member_seed(cfg.seed, linksim._SEED_PN)).samples
-        y_ref, g0_ref = oracles.oversampled_chain(seq, h, osf, theta, span, layout.n_tx)
+        y_ref, g0_ref = oracles.oversampled_chain(seq, h, osf, theta, span, n_symbols)
+        assert y.size == g0.size == n_symbols
         assert np.max(np.abs(y - y_ref)) < 1e-12
         assert np.max(np.abs(g0 - g0_ref)) < 1e-12
         assert np.max(np.abs(g0_ref - 1.0)) > 1e-3  # the phase noise is not negligible
+
+    @pytest.mark.parametrize("osf", [2, 5, 8])
+    @pytest.mark.parametrize("rolloff", [0.0, 0.3])
+    @pytest.mark.parametrize("span", [16, 33])
+    def test_matches_full_length_chain(self, osf, rolloff, span):
+        # a run shorter than one block, in pieces shorter and longer than
+        # the filter span
+        self._check(osf, rolloff, span, 700, [1, 4, 40, 300])
+
+    def test_long_span(self):
+        # the span of `phasenoise sir` and criterion 5 at roll-off 0.05
+        self._check(5, 0.05, 96, 700, [1, 4, 40, 300])
+
+    @pytest.mark.parametrize("osf,rolloff,span", [(5, 0.05, 96), (3, 0.3, 17)])
+    def test_pieces_around_block_edges(self, osf, rolloff, span):
+        # pieces that end one symbol before, at and one after block edges
+        b = linksim._BLOCK
+        self._check(osf, rolloff, span, 3 * b + 500, [b - 1, 2 * b, 3 * b + 1])
+
+    @pytest.mark.parametrize("span", [16, 96])
+    def test_single_symbol(self, span):
+        self._check(5, 0.05, span, 1, [])
 
 
 class TestConstellations:
@@ -444,7 +473,8 @@ class TestChunking:
             return [np.concatenate([o[k] for o in out]) for k in (1, 2)]
 
         y, g0 = run(10 ** 9)
-        for chunk in (1, 700, 5000):
+        b = linksim._BLOCK
+        for chunk in (1, 700, 5000, b - 1, b + 1, 3 * b + 7):
             y_c, g0_c = run(chunk)
             assert np.array_equal(y_c, y) and np.array_equal(g0_c, g0)
 
