@@ -23,7 +23,8 @@ with eta = eta_d + eta_isi.  The matched-filter gain moments are
 with sum_gamma - gamma0 = eta_isi, and SIR = gamma0 / eta_isi.
 
 Below rho ~ 1 the functions are evaluated through atan(rho)/log1p
-rearrangements that avoid catastrophic cancellation; every function also
+rearrangements that avoid catastrophic cancellation, above it through
+series in x = 1/rho that neither underflow nor overflow; every function also
 accepts an ``mpmath.mpf`` argument and then evaluates in that precision,
 which is needed to resolve differences such as sum_gamma - gamma0 at
 small rho beyond float64 resolution.
@@ -88,11 +89,11 @@ def _coerce(rho):
     return x
 
 
-def _atan_minus_x(x: float) -> float:
-    """atan(x) - x without cancellation for small x."""
+def _atan_minus_x_over_x2(x: float) -> float:
+    """(atan(x) - x) / x**2 without cancellation, underflow or overflow for small x."""
     if x < 0.5:
         s = 0.0
-        term = x ** 3
+        term = x
         k = 1
         sign = -1.0
         while True:
@@ -103,7 +104,12 @@ def _atan_minus_x(x: float) -> float:
             term *= x * x
             k += 1
             sign = -sign
-    return math.atan(x) - x
+    return (math.atan(x) - x) / (x * x)
+
+
+def _log1p_x2_over_x(x: float) -> float:
+    """log1p(x**2) / x, also where x**2 underflows."""
+    return math.log1p(x * x) / x if x > 1e-8 else x
 
 
 def rho(params: OscillatorParams, ts: float) -> Rho:
@@ -157,7 +163,8 @@ def eta_d(rho_value) -> float:
         return 1 + (2 / mp.pi) * (r - (1 + r ** 2) * mp.atan(1 / r))
     if r < 1.0:
         return (2.0 / math.pi) * (r + (1.0 + r * r) * math.atan(r)) - r * r
-    return 1.0 + (2.0 / math.pi) * (r - (1.0 + r * r) * math.atan(1.0 / r))
+    x = 1.0 / r
+    return 1.0 - (2.0 / math.pi) * (math.atan(x) + _atan_minus_x_over_x2(x))
 
 
 def eta_isi(rho_value) -> float:
@@ -170,7 +177,7 @@ def eta_isi(rho_value) -> float:
         return r * r * (1.0 - (2.0 / math.pi) * a) + (2.0 / math.pi) * (
             0.5 * r * math.log1p(1.0 / (r * r)) - r)
     x = 1.0 / r
-    return (2.0 / math.pi) * (r * r * _atan_minus_x(x) + 0.5 * r * math.log1p(x * x))
+    return (2.0 / math.pi) * (_atan_minus_x_over_x2(x) + 0.5 * _log1p_x2_over_x(x))
 
 
 def gamma0(rho_value) -> float:
@@ -183,8 +190,8 @@ def gamma0(rho_value) -> float:
         b = math.pi / 2.0 - math.atan(r)
         return (2.0 / math.pi) * (b * (1.0 - r * r) + r * (1.0 - math.log1p(1.0 / (r * r))))
     x = 1.0 / r
-    return (2.0 / math.pi) * (math.atan(x) - r * r * _atan_minus_x(x)
-                              - r * math.log1p(x * x))
+    return (2.0 / math.pi) * (math.atan(x) - _atan_minus_x_over_x2(x)
+                              - _log1p_x2_over_x(x))
 
 
 def sum_gamma(rho_value) -> float:
@@ -192,7 +199,8 @@ def sum_gamma(rho_value) -> float:
     r = _coerce(rho_value)
     if _is_mp(r):
         return (2 / mp.pi) * (mp.atan(1 / r) - (r / 2) * mp.log(1 + 1 / r ** 2))
-    return (2.0 / math.pi) * (math.atan(1.0 / r) - 0.5 * r * math.log1p(1.0 / (r * r)))
+    x = 1.0 / r
+    return (2.0 / math.pi) * (math.atan(x) - 0.5 * _log1p_x2_over_x(x))
 
 
 def sir_from_rho(rho_value) -> float:

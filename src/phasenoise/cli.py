@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -29,8 +30,15 @@ from .linksim import LinkConfig, simulate_link
 from .params import CompositeModel, OscillatorParams, ThreeGppParams
 from .pointsio import load_points
 from .psd import composite_psd, phasor_psd, pn_autocorr, phasor_autocorr, threegpp_psd
-from .spectral import db, undb, welch_psd, compare_psd
-from .timegen import gen_composite, save_stream_bin, save_stream_csv
+# gen_composite, save_stream_* and welch_psd stay module attributes:
+# perfbench/spans.py wraps them on this module
+from .spectral import WelchAccumulator, db, undb, welch_psd, compare_psd  # noqa: F401
+from .timegen import (CompositeGenerator, gen_composite, save_stream_bin,  # noqa: F401
+                      save_stream_csv, write_stream_bin, write_stream_csv)
+
+# samples drawn per block by gen and validate: their memory is bounded by
+# it, not by --n
+_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -192,32 +200,41 @@ def _cmd_autocorr(args) -> int:
     return 0
 
 
+def _blocks(gen: CompositeGenerator, n: int):
+    """The first n samples of ``gen`` in blocks of ``_BLOCK``."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return (gen.take(min(_BLOCK, n - lo)) for lo in range(0, n, _BLOCK))
+
+
 def _cmd_gen(args) -> int:
     model = _parse_model(args)
-    stream = gen_composite(model, args.ts, args.n, args.seed)
+    gen = CompositeGenerator(model, args.ts, args.seed)
+    blocks = _blocks(gen, args.n)
     to_stdout = args.output in (None, "-")
     if args.binary:
         if to_stdout:
             raise ValueError("--binary needs --output PATH")
-        save_stream_bin(stream, args.output)
+        write_stream_bin(args.output, {"ts": args.ts, "seed": args.seed, "model": gen.model},
+                         args.n, blocks)
     elif to_stdout:
-        sys.stdout.write(f"# tool=phasenoise\n# version={__version__}\n"
-                         f"# model={_model_meta(model)}\n"
-                         f"# ts={args.ts!r}\n# seed={args.seed}\n")
-        save_stream_csv(stream, sys.stdout)
+        meta = {"tool": "phasenoise", "version": __version__, "model": _model_meta(model),
+                "ts": repr(args.ts), "seed": args.seed}
+        write_stream_csv(sys.stdout, meta, args.n, blocks)
     else:
-        save_stream_csv(stream, args.output)
+        write_stream_csv(args.output, {}, args.n, blocks)
     return 0
 
 
 def _cmd_validate(args) -> int:
     model = _parse_model(args)
-    stream = gen_composite(model, args.ts, args.n, args.seed)
-    import warnings as _warnings
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")  # slow corners flag the estimate
-        est = welch_psd(stream.samples, fs=1.0 / args.ts,
-                        segment_len=args.segment_len)
+    gen = CompositeGenerator(model, args.ts, args.seed)
+    acc = WelchAccumulator(args.n, fs=1.0 / args.ts, segment_len=args.segment_len)
+    for block in _blocks(gen, args.n):
+        acc.push(block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # slow corners flag the estimate
+        est = acc.result()
     band = (10 * est.resolution, args.band_top_fraction / args.ts)
     cmp = compare_psd(est, lambda f: composite_psd(model, f), band=band)
     meta = _meta(args, model=_model_meta(model), seed=args.seed, ts=repr(args.ts),

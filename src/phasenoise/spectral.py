@@ -1,4 +1,9 @@
-"""PSD estimation from sample streams and model-vs-estimate comparison."""
+"""PSD estimation from sample streams and model-vs-estimate comparison.
+
+``WelchAccumulator`` is Welch's averaged modified periodogram fed block
+by block, so it never holds the whole stream; ``welch_psd`` is its
+one-push case.
+"""
 
 from __future__ import annotations
 
@@ -56,17 +61,102 @@ class PsdComparison:
     rms_dev_db: float
 
 
-def _nonstationary_check(samples: np.ndarray, segment_len: int) -> bool:
-    # difference variance still growing at the segment scale means the
-    # spectrum keeps rising below the resolution (random walks and
-    # processes with corners far below fs/segment_len)
-    m2 = min(segment_len, samples.size // 4)
-    m1 = max(1, m2 // 64)
-    v1 = np.var(samples[m1:] - samples[:-m1])
-    v2 = np.var(samples[m2:] - samples[:-m2])
-    if v1 == 0.0:
-        return bool(v2 > 0.0)
-    return bool(v2 / v1 > 10.0)
+# samples per batch of segments transformed together
+_BATCH = 1 << 15
+
+
+class WelchAccumulator:
+    """Welch estimate of an n-sample stream fed block by block.
+
+    Arguments as :func:`welch_psd` plus the stream length n, all checked
+    here, before any sample arrives.  Segments are transformed in batches
+    on a fixed grid of segment indices and summed in segment order, and
+    only the samples from the last batch's final segment on are kept, so
+    memory is bounded by the batch and the largest push, and the bits do
+    not depend on how the stream is split into pushes.
+    """
+
+    def __init__(self, n: int, fs: float, segment_len: int = DEFAULT_SEGMENT_LEN,
+                 overlap: float = 0.5, window: str = "hann"):
+        if segment_len & (segment_len - 1) or segment_len <= 0:
+            raise ValueError(f"segment_len must be a power of two, got {segment_len}")
+        if n < 4 * segment_len:
+            raise ValueError(f"need at least {4 * segment_len} samples, got {n}")
+        if not (0.0 <= overlap < 1.0):
+            raise ValueError("overlap must be in [0, 1)")
+        self.n, self.fs, self.seg, self.window = n, fs, segment_len, window
+        self.hop = segment_len - int(segment_len * overlap)
+        self.n_segments = 1 + (n - segment_len) // self.hop
+        # at least two segments, so that every batch has lag-segment_len differences
+        self.per_batch = max(2, _BATCH // segment_len)
+        win = scipy.signal.get_window(window, segment_len)
+        # scaled to a density as scipy.signal.welch scales it, so that the
+        # transforms see the same inputs as that reference
+        self.win = win * (1.0 / np.sqrt(sum(win ** 2) / (1.0 / fs)))
+        self.power = np.zeros(segment_len // 2 + 1)
+        # nonstationarity check: per lag, a shift (the first batch's mean)
+        # and the sum and sum of squares of the shifted differences
+        self.diffs = [(m, [None, 0.0, 0.0])
+                      for m in (max(1, segment_len // 64), segment_len)]
+        self.buf = np.empty(0)  # the samples from absolute index base on
+        self.base = self.done = 0  # done: segments summed
+
+    def push(self, block) -> None:
+        """Take the next samples of the stream; the block is read, not
+        copied, until its samples are summed, so it must not change."""
+        block = np.asarray(block, dtype=float)
+        received = self.base + self.buf.size + block.size
+        if received > self.n:
+            raise ValueError(f"more than the {self.n} samples announced")
+        self.buf = np.concatenate([self.buf, block]) if self.buf.size else block
+        while self.done < self.n_segments:
+            hi = min(self.done + self.per_batch, self.n_segments)
+            # one past the batch's last sample; the last batch runs to n
+            end = self.n if hi == self.n_segments else (hi - 1) * self.hop + self.seg
+            if end > received:
+                return
+            self._batch(hi, end - self.base)
+
+    def _batch(self, hi: int, end: int) -> None:
+        lo = self.done * self.hop - self.base
+        segs = np.lib.stride_tricks.sliding_window_view(self.buf[lo:end], self.seg)
+        spec = np.fft.rfft(segs[::self.hop][:hi - self.done] * self.win)
+        for row in spec.real ** 2 + spec.imag ** 2:
+            self.power += row
+        for m, stats in self.diffs:
+            # differences whose later sample is past the previous batch
+            a = m if self.done == 0 else self.seg
+            d = self.buf[a:end] - self.buf[a - m:end - m]
+            if stats[0] is None:
+                stats[0] = d.mean()
+            d -= stats[0]
+            stats[1] += d.sum()
+            d *= d
+            stats[2] += d.sum()
+        self.done = hi
+        self.buf = self.buf[end - self.seg:]
+        self.base += end - self.seg
+
+    def result(self) -> PsdEstimate:
+        """The estimate of the whole stream; warns when it is nonstationary."""
+        got = self.base + self.buf.size
+        if got != self.n:
+            raise ValueError(f"got {got} of the {self.n} samples announced")
+        psd = self.power / self.n_segments
+        psd[1:-1] *= 2.0  # one-sided; the Nyquist bin of an even length is not doubled
+        v1, v2 = ((s2 - s1 * s1 / (self.n - m)) / (self.n - m)
+                  for m, (_, s1, s2) in self.diffs)
+        # difference variance still growing at the segment scale means the
+        # spectrum keeps rising below the resolution (random walks and
+        # processes with corners far below fs/segment_len)
+        flagged = bool(v2 > 0.0) if v1 == 0.0 else bool(v2 / v1 > 10.0)
+        if flagged:
+            warnings.warn("mean still drifts at the segment scale (random walk or "
+                          "unresolved corner); the PSD estimate is unreliable at "
+                          "low frequencies", stacklevel=2)
+        return PsdEstimate(freqs=np.fft.rfftfreq(self.seg, 1.0 / self.fs), psd=psd,
+                           n_segments=self.n_segments, window=self.window,
+                           resolution=self.fs / self.seg, nonstationary=flagged)
 
 
 def welch_psd(samples, fs: float, segment_len: int = DEFAULT_SEGMENT_LEN,
@@ -84,32 +174,17 @@ def welch_psd(samples, fs: float, segment_len: int = DEFAULT_SEGMENT_LEN,
     overlap : float
         Fractional segment overlap in [0, 1).
     window : str
-        Window name accepted by scipy.
+        Window name accepted by ``scipy.signal.get_window``.
 
     No detrending is applied, so the estimate conserves total power;
     nonstationary inputs (drifting mean) are flagged with a warning and
-    the ``nonstationary`` field.
+    the ``nonstationary`` field.  The one-push case of
+    :class:`WelchAccumulator`.
     """
     x = np.asarray(samples, dtype=float)
-    if segment_len & (segment_len - 1) or segment_len <= 0:
-        raise ValueError(f"segment_len must be a power of two, got {segment_len}")
-    if x.size < 4 * segment_len:
-        raise ValueError(f"need at least {4 * segment_len} samples, got {x.size}")
-    if not (0.0 <= overlap < 1.0):
-        raise ValueError("overlap must be in [0, 1)")
-    noverlap = int(segment_len * overlap)
-    freqs, pxx = scipy.signal.welch(
-        x, fs=fs, window=window, nperseg=segment_len, noverlap=noverlap,
-        detrend=False, return_onesided=True, scaling="density")
-    step = segment_len - noverlap
-    n_segments = 1 + (x.size - segment_len) // step
-    flagged = _nonstationary_check(x, segment_len)
-    if flagged:
-        warnings.warn("mean still drifts at the segment scale (random walk or "
-                      "unresolved corner); the PSD estimate is unreliable at "
-                      "low frequencies", stacklevel=2)
-    return PsdEstimate(freqs=freqs, psd=pxx, n_segments=n_segments, window=window,
-                       resolution=fs / segment_len, nonstationary=flagged)
+    acc = WelchAccumulator(x.size, fs, segment_len, overlap, window)
+    acc.push(x)
+    return acc.result()
 
 
 def compare_psd(est: PsdEstimate, model_fn, band: tuple[float, float]) -> PsdComparison:

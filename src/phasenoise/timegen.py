@@ -14,6 +14,8 @@ generator (seeded 64-bit, documented algorithm, ziggurat normals);
 identical (model, ts, n, seed) inputs regenerate bit-identical output.
 ``CompositeGenerator`` produces the same stream block by block, with
 the same bits at any block size; ``gen_composite`` is its one-block case.
+The CSV and binary writers take an iterable of blocks in the same way,
+and ``save_stream_csv``/``save_stream_bin`` are their one-block case.
 """
 
 from __future__ import annotations
@@ -256,24 +258,40 @@ def gen_composite(model, ts: float, n: int, seed: int) -> PnStream:
     return _one_block(CompositeGenerator(model, ts, seed), n, ts, seed)
 
 
-# rows formatted per write by save_stream_csv; larger blocks raised the
+# rows formatted per write by write_stream_csv; larger blocks raised the
 # peak RSS of a 1M-row write by 5 MB and were no faster
 _CSV_ROWS = 1 << 12
 
 
-def save_stream_csv(stream: PnStream, dest) -> None:
-    """Dump as two-column CSV ``k,theta_rad`` to a path or an open text file."""
+def _check_count(written: int, n: int) -> None:
+    if written != n:
+        raise ValueError(f"stream blocks hold {written} samples, expected {n}")
+
+
+def write_stream_csv(dest, meta: dict, n: int, blocks) -> None:
+    """Write ``# key=value`` lines for ``meta``, then the n samples of
+    ``blocks`` as two-column CSV ``k,theta_rad``, to a path or an open
+    text file; ``k`` runs on across blocks."""
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w") as fh:
-            save_stream_csv(stream, fh)
+            write_stream_csv(fh, meta, n, blocks)
         return
-    dest.write("k,theta_rad\n")
-    for lo in range(0, len(stream.samples), _CSV_ROWS):
-        theta = stream.samples[lo:lo + _CSV_ROWS].tolist()
-        rows = [None] * (2 * len(theta))
-        rows[::2] = range(lo, lo + len(theta))
-        rows[1::2] = theta
-        dest.write(("%d,%r\n" * len(theta)) % tuple(rows))
+    dest.write("".join(f"# {k}={v}\n" for k, v in meta.items()) + "k,theta_rad\n")
+    k = 0
+    for block in blocks:
+        for lo in range(0, len(block), _CSV_ROWS):
+            theta = block[lo:lo + _CSV_ROWS].tolist()
+            rows = [None] * (2 * len(theta))
+            rows[::2] = range(k, k + len(theta))
+            rows[1::2] = theta
+            dest.write(("%d,%r\n" * len(theta)) % tuple(rows))
+            k += len(theta)
+    _check_count(k, n)
+
+
+def save_stream_csv(stream: PnStream, dest) -> None:
+    """Dump as two-column CSV ``k,theta_rad`` to a path or an open text file."""
+    write_stream_csv(dest, {}, len(stream.samples), [stream.samples])
 
 
 def load_stream_csv(path) -> np.ndarray:
@@ -281,14 +299,24 @@ def load_stream_csv(path) -> np.ndarray:
     return data[:, 1]
 
 
-def save_stream_bin(stream: PnStream, path) -> None:
-    """Binary dump: magic line, JSON header line, little-endian float64 payload."""
-    header = {"ts": stream.ts, "seed": stream.seed, "model": stream.model,
-              "n": len(stream.samples), "dtype": "<f8"}
+def write_stream_bin(path, meta: dict, n: int, blocks) -> None:
+    """Binary dump: magic line, JSON header line (``meta`` with ``n`` and
+    ``dtype``), then the n samples of ``blocks`` as little-endian float64."""
+    header = {**meta, "n": n, "dtype": "<f8"}
+    written = 0
     with open(path, "wb") as fh:
         fh.write(_BIN_MAGIC)
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        fh.write(stream.samples.astype("<f8").tobytes())
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
+            written += len(block)
+    _check_count(written, n)
+
+
+def save_stream_bin(stream: PnStream, path) -> None:
+    """Binary dump: magic line, JSON header line, little-endian float64 payload."""
+    write_stream_bin(path, {"ts": stream.ts, "seed": stream.seed, "model": stream.model},
+                     len(stream.samples), [stream.samples])
 
 
 def load_stream_bin(path) -> PnStream:
@@ -297,9 +325,8 @@ def load_stream_bin(path) -> PnStream:
         if magic != _BIN_MAGIC:
             raise ValueError(f"not a phase-noise stream file: {path}")
         header = json.loads(fh.readline().decode())
-        payload = fh.read(8 * header["n"])
-    samples = np.frombuffer(payload, dtype="<f8").copy()
-    if samples.size != header["n"]:
-        raise ValueError("truncated stream payload")
+        samples = np.empty(header["n"], dtype="<f8")
+        if fh.readinto(samples) != samples.nbytes:
+            raise ValueError("truncated stream payload")
     return PnStream(samples=samples, ts=header["ts"], seed=header["seed"],
                     model=header["model"])

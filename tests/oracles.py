@@ -149,6 +149,19 @@ def folded_lorentzian(amp: float, f3db: float, f: np.ndarray, fs: float,
     return out
 
 
+def nonstationary_whole_array(samples: np.ndarray, segment_len: int) -> bool:
+    """Nonstationarity rule of the Welch estimate on the whole array at once:
+    the variances of the differences at lags m1 = m2 // 64 and
+    m2 = min(segment_len, n // 4), flagged when v2 / v1 > 10."""
+    m2 = min(segment_len, samples.size // 4)
+    m1 = max(1, m2 // 64)
+    v1 = np.var(samples[m1:] - samples[:-m1])
+    v2 = np.var(samples[m2:] - samples[:-m2])
+    if v1 == 0.0:
+        return bool(v2 > 0.0)
+    return bool(v2 / v1 > 10.0)
+
+
 # ---------------------------------------------------------------------------
 # pulse-domain oracle for the link simulator
 

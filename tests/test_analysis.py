@@ -116,6 +116,20 @@ class TestEta:
             eta_isi(r)
             gamma0(r)
 
+    def test_huge_rho_multiprecision_oracle(self):
+        # rho**2 overflows and 1/rho**2 underflows; the unrearranged forms
+        # cancel rho**2-sized terms, so the oracle needs ~2*log10(rho) digits
+        for r in (1e99, 1e150, 1e160, 1e300):
+            with mp.workdps(700):
+                want = {f: oracles_fn(r) for f, oracles_fn in (
+                    (gamma0, oracles.gamma0_direct), (eta_isi, oracles.eta_isi_direct),
+                    (eta_d, oracles.eta_d_direct), (sum_gamma, oracles.sum_gamma_direct))}
+                want_sir = want[gamma0] / want[eta_isi]
+            for f, w in want.items():
+                assert f(r) == pytest.approx(float(w), rel=1e-12), (f.__name__, r)
+            assert sir_from_rho(r) == pytest.approx(float(want_sir), rel=1e-12)
+            assert sir_from_rho(r) == pytest.approx(2.0, rel=1e-12)
+
 
 class TestGamma:
     def test_quadrature_oracle(self):

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -10,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from phasenoise import (OscillatorParams, __version__, gen_composite, load_points, pn_psd,
+import phasenoise
+from phasenoise import (OscillatorParams, __version__, cli, gen_composite, load_points, pn_psd,
                         save_points, sir_for_pulse, timegen)
 from phasenoise.cli import run
 from phasenoise.timegen import load_stream_bin
@@ -183,6 +187,22 @@ class TestGen:
             code, out, _ = run_capture(capsys, argv)
             assert code == 0 and out.encode() == header.encode() + body
 
+    def test_binary_bytes_pinned(self, tmp_path, monkeypatch):
+        # the file bytes, and the CSV file bytes of test_csv_bytes_pinned,
+        # drawn in blocks of 7 samples and in the default block
+        argv = ["gen", "--f3db", "10", "--l100-db", "-88", "--linf-db", "-114",
+                "--ts", "1e-7", "--n", "1000", "--seed", "9"]
+        for block in (7, cli._BLOCK):
+            monkeypatch.setattr(cli, "_BLOCK", block)
+            path = tmp_path / f"s{block}.bin"
+            assert run(argv + ["--binary", "-o", str(path)]) == 0
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+                "df167a05fca3fac3349dfe552b95033435755ecd05a0fa1be580017edb59e99a")
+            path = tmp_path / f"s{block}.csv"
+            assert run(argv + ["-o", str(path)]) == 0
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+                "8385f73cc40a9900e30f52d7e54c333038ac5a3a1d03e9e4883d6a7e5efb9398")
+
     def test_byte_determinism(self, capsys):
         argv = ["gen", "--f3db", "10", "--l100-db", "-88", "--ts", "1e-7",
                 "--n", "128", "--seed", "31"]
@@ -203,6 +223,47 @@ class TestValidate:
         assert maxdev and abs(float(maxdev[0].split("=")[1])) < 2.0
         header = data_section(out).splitlines()[0]
         assert header == "freq_hz,est_db,model_db,dev_db"
+
+    def test_report_independent_of_block(self, capsys, monkeypatch):
+        argv = ["validate", "--f3db", "10", "--l100-db", "-88", "--linf-db", "-114",
+                "--ts", "1e-7", "--n", str(5 * 2 ** 10 + 3), "--segment-len", str(2 ** 10)]
+        outs = []
+        for block in (7, 1000, cli._BLOCK):
+            monkeypatch.setattr(cli, "_BLOCK", block)
+            code, out, _ = run_capture(capsys, argv)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+
+
+# peak RSS of a child process that imports the CLI and runs one command;
+# VmHWM, because ru_maxrss keeps the spawning process's peak across exec
+_RSS_CHILD = ("import sys\n"
+              "from phasenoise.cli import run\n"
+              "code = run(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+              "hwm = [ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:')]\n"
+              "print(code, hwm[0].split()[1])\n")
+
+
+def _child_max_rss_mb(argv) -> float:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(phasenoise.__file__)),
+         os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _RSS_CHILD, *argv], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout.split()
+    assert out[0] == "0"
+    return int(out[1]) / 1024  # kB
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_gen_and_validate_memory_bounded_by_block(tmp_path):
+    # 2**22 samples are 32 MB per array; a whole-array path holds several
+    flags = ["--f3db", "10", "--l100-db", "-88", "--linf-db", "-114", "--ts", "1e-7",
+             "--n", str(2 ** 22)]
+    base = _child_max_rss_mb([])
+    for argv in (["validate", *flags, "-o", str(tmp_path / "v.csv")],
+                 ["gen", *flags, "--binary", "-o", str(tmp_path / "g.bin")]):
+        assert _child_max_rss_mb(argv) - base < 40.0, argv[0]
 
 
 class TestSirBer:

@@ -1,9 +1,12 @@
 """Welch estimation, model comparison, and dB conversions."""
 
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +24,8 @@ from phasenoise import (
     undb,
     welch_psd,
 )
-from phasenoise.spectral import PsdEstimate
+from phasenoise import spectral
+from phasenoise.spectral import PsdEstimate, WelchAccumulator
 
 import oracles
 
@@ -154,6 +158,96 @@ class TestWelch:
             welch_psd(np.zeros(2 ** 16), fs=1.0, segment_len=1000)
         with pytest.raises(ValueError, match="at least"):
             welch_psd(np.zeros(100), fs=1.0, segment_len=2 ** 14)
+
+
+def _quiet(fn, *args, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the nonstationary flag warns
+        return fn(*args, **kwargs)
+
+
+def _streams(n, seed):
+    """White, AR (unresolved and resolved corners), random-walk streams, and a
+    frequency offset: a phase ramp of 1 rad per sample over the white floor."""
+    white = gen_white_floor(1e-11, 1e-7, n, seed).samples
+    return {
+        "white": white,
+        "ramp": np.arange(n) + white,
+        "ar_slow": gen_ar(ar_coefficients(SAT_NOFLOOR, 1e-7), n, seed).samples,
+        "ar_fast": gen_ar(ar_coefficients(OscillatorParams.from_db(1e4, -88.0), 1e-7),
+                          n, seed).samples,
+        "walk": gen_wiener(1e-4, n, seed).samples,
+    }
+
+
+class TestWelchAccumulator:
+    @pytest.mark.parametrize("window", ["hann", "hamming"])
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
+    @pytest.mark.parametrize("log2_len", range(10, 15))
+    def test_matches_scipy_welch(self, log2_len, overlap, window):
+        # the satellite stream `validate` checks, over several batches of segments
+        seg = 2 ** log2_len
+        x = gen_composite(SAT, 1e-7, 40 * seg + 777, seed=log2_len).samples
+        est = _quiet(welch_psd, x, fs=1e7, segment_len=seg, overlap=overlap, window=window)
+        freqs, want = scipy.signal.welch(x, fs=1e7, window=window, nperseg=seg,
+                                         noverlap=int(seg * overlap), detrend=False)
+        assert np.array_equal(est.freqs, freqs)
+        np.testing.assert_allclose(est.psd, want, rtol=1e-12, atol=0.0)
+        step = seg - int(seg * overlap)
+        assert est.n_segments == 1 + (x.size - seg) // step
+        assert est.nonstationary == oracles.nonstationary_whole_array(x, seg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["white", "ramp", "ar_slow", "ar_fast", "walk"]),
+           log2_len=st.integers(0, 9), overlap=st.sampled_from([0.0, 0.5, 0.75]),
+           batch=st.sampled_from([1, 64, 1024, spectral._BATCH]),
+           extra=st.integers(0, 3000), cuts=st.lists(st.integers(0, 10 ** 6), max_size=12),
+           seed=st.integers(0, 2 ** 32))
+    def test_push_splits_are_bit_identical(self, kind, log2_len, overlap, batch, extra,
+                                           cuts, seed):
+        seg = 2 ** log2_len
+        x = _streams(4 * seg + extra, seed)[kind]
+        edges = [0, *sorted(c % (x.size + 1) for c in cuts), x.size]
+        with mock.patch.object(spectral, "_BATCH", batch):
+            whole = _quiet(welch_psd, x, fs=1.0, segment_len=seg, overlap=overlap)
+            acc = WelchAccumulator(x.size, 1.0, seg, overlap)
+            for a, b in zip(edges, edges[1:]):
+                acc.push(x[a:b])
+            part = _quiet(acc.result)
+        assert np.array_equal(part.psd, whole.psd)
+        assert part.n_segments == whole.n_segments
+        assert part.nonstationary == whole.nonstationary
+
+    def test_nonstationary_matches_whole_array_rule(self):
+        flags = set()
+        for seg in (2 ** 8, 2 ** 12, 2 ** 14):
+            for kind, x in _streams(6 * 2 ** 14 + 5, seg).items():
+                want = oracles.nonstationary_whole_array(x, seg)
+                acc = WelchAccumulator(x.size, 1e7, seg)
+                for lo in range(0, x.size, 10_000):
+                    acc.push(x[lo:lo + 10_000])
+                assert _quiet(acc.result).nonstationary == want, (kind, seg)
+                flags.add(want)
+                # the difference variances behind the flag, from the shifted sums
+                for m, (_, s1, s2) in acc.diffs:
+                    d = x[m:] - x[:-m]
+                    assert (s2 - s1 * s1 / d.size) / d.size == pytest.approx(
+                        np.var(d), rel=1e-9), (kind, seg, m)
+        assert flags == {True, False}
+
+    def test_checks_before_any_sample(self):
+        with pytest.raises(ValueError, match="power of two"):
+            WelchAccumulator(2 ** 16, 1.0, segment_len=1000)
+        with pytest.raises(ValueError, match="at least"):
+            WelchAccumulator(2 ** 16 - 1, 1.0, segment_len=2 ** 14)
+        with pytest.raises(ValueError, match="overlap"):
+            WelchAccumulator(2 ** 16, 1.0, segment_len=2 ** 12, overlap=1.0)
+        acc = WelchAccumulator(64, 1.0, segment_len=16)
+        acc.push(np.zeros(40))
+        with pytest.raises(ValueError, match="of the 64 samples"):
+            acc.result()
+        with pytest.raises(ValueError, match="more than the 64"):
+            acc.push(np.zeros(25))
 
 
 class TestComparePsd:

@@ -28,6 +28,8 @@ from phasenoise.timegen import (
     load_stream_csv,
     save_stream_bin,
     save_stream_csv,
+    write_stream_bin,
+    write_stream_csv,
 )
 
 # representative satellite-link oscillator: 10 Hz loop corner,
@@ -273,6 +275,36 @@ class TestDumps:
         path.write_bytes(b"not a stream")
         with pytest.raises(ValueError):
             load_stream_bin(path)
+
+    def test_binary_rejects_truncated_payload(self, tmp_path):
+        path = tmp_path / "stream.bin"
+        save_stream_bin(gen_composite(SAT, 1e-7, 100, seed=5), path)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ValueError, match="truncated stream payload"):
+            load_stream_bin(path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(cuts=st.lists(st.integers(0, 5000), max_size=8))
+    def test_block_writers_match_one_block(self, tmp_path_factory, cuts):
+        # k runs on across blocks; the payload is the same bytes at any split
+        s = gen_composite(SAT, 1e-7, 5000, seed=21)
+        edges = [0, *sorted(cuts), 5000]
+        blocks = [s.samples[a:b] for a, b in zip(edges, edges[1:])]
+        d = tmp_path_factory.mktemp("w")
+        save_stream_csv(s, d / "one.csv")
+        write_stream_csv(d / "blocks.csv", {}, 5000, blocks)
+        assert (d / "blocks.csv").read_bytes() == (d / "one.csv").read_bytes()
+        save_stream_bin(s, d / "one.bin")
+        write_stream_bin(d / "blocks.bin", {"ts": s.ts, "seed": s.seed, "model": s.model},
+                         5000, iter(blocks))
+        assert (d / "blocks.bin").read_bytes() == (d / "one.bin").read_bytes()
+
+    def test_block_writers_check_the_count(self, tmp_path):
+        blocks = [np.zeros(3), np.ones(4)]
+        with pytest.raises(ValueError, match="hold 7 samples, expected 8"):
+            write_stream_csv(tmp_path / "s.csv", {}, 8, blocks)
+        with pytest.raises(ValueError, match="hold 7 samples, expected 6"):
+            write_stream_bin(tmp_path / "s.bin", {}, 6, blocks)
 
 
 def test_member_seed_is_stable():
