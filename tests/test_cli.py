@@ -349,6 +349,30 @@ class TestFit:
         assert len(payload["rows"]) == 3
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["errors", "--sweep-rho", "1e-6:1e2:17"],
+     "d80a1063533e50b979409daa1ea2142ad54a7d445befb88d9163873635a360e0"),
+    (["errors", "--l100-db", "-88", "--ts", "1e-7", "--f3db", "10"],
+     "35adc4fe5484aae99eea1a5331475f076a6bbdf00a4cbd830974418531abab29"),
+    (["psd", "--f3db", "10", "--l100-db", "-88", "--fmin", "1", "--fmax", "1e6",
+      "--n", "13", "--phasor"],
+     "2758bd08e0174303ba655a6e2740dc151139c926a80f94984ad473a3c91d21ea"),
+    (["fit", "--points", "sat.csv", "--k", "2"],
+     "02c2409cb78d99a86921890b3e1592c78a6df50a470758fb840e7bba1ca3d523"),
+], ids=["errors_sweep", "errors_alias", "psd_phasor", "fit_k2"])
+def test_stdout_bytes_pinned(capsys, tmp_path, monkeypatch, argv, digest):
+    # SHA-256 of the whole stdout, header included; the fit reads the
+    # satellite curve (10 Hz, -88 dB, -114 dB floor) through a relative
+    # path, so that its recorded arguments do not vary
+    monkeypatch.chdir(tmp_path)
+    freqs = np.logspace(1, 8, 120)
+    sat = OscillatorParams.from_db(10.0, -88.0, -114.0)
+    save_points(np.column_stack([freqs, 10 * np.log10(pn_psd(sat, freqs))]), "sat.csv")
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # random `ber --config` documents: unknown keys, wrong types, non-objects,
 # out-of-range values; sizes stay small (n_symbols <= 20000, osf <= 8,
 # filter_span <= 40) so that every accepted document runs in milliseconds
