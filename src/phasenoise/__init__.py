@@ -24,10 +24,7 @@ from .psd import (
     threegpp_psd,
 )
 from .analysis import (
-    ErrorBreakdown,
-    Rho,
     aliasing_variance,
-    error_breakdown,
     eta,
     eta_d,
     eta_isi,
@@ -70,12 +67,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArCoefficients", "CompositeGenerator", "CompositeModel", "Constellation",
-    "ErrorBreakdown",
     "FitResult", "LinkConfig", "LinkStats", "OscillatorParams",
     "PhasorPsdValue", "PilotLayout", "PnStream", "PsdComparison",
-    "PsdEstimate", "Rho", "THREEGPP_45GHZ", "ThreeGppParams",
+    "PsdEstimate", "THREEGPP_45GHZ", "ThreeGppParams",
     "aliasing_variance", "ar_coefficients", "as_composite", "build_pilot_layout",
-    "compare_psd", "composite_psd", "db", "error_breakdown", "eta", "eta_d",
+    "compare_psd", "composite_psd", "db", "eta", "eta_d",
     "eta_isi", "fit_composite", "fit_single", "gamma0", "gen_ar",
     "gen_composite", "gen_white_floor", "gen_wiener", "l0_sq_from_l100",
     "load_points", "measure_sir", "member_seed", "normalized_aliasing",

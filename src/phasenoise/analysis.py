@@ -39,7 +39,6 @@ simulator's oversampled chain uses, so it describes what
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -49,41 +48,16 @@ from .linksim import rrc_taps
 from .params import OscillatorParams
 
 
-@dataclass(frozen=True)
-class Rho:
-    """Phasor-to-signal bandwidth ratio."""
-
-    value: float
-
-    def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError(f"rho must be > 0, got {self.value}")
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
-@dataclass(frozen=True)
-class ErrorBreakdown:
-    """Mean-square error split and the implied signal-to-interference ratio."""
-
-    eta: float
-    eta_d: float
-    eta_isi: float
-    sir_linear: float
-
-
 def _is_mp(x) -> bool:
     return isinstance(x, mp.mpf)
 
 
 def _coerce(rho):
-    x = rho.value if isinstance(rho, Rho) else rho
-    if _is_mp(x):
-        if not x > 0:
-            raise ValueError(f"rho must be > 0, got {x}")
-        return x
-    x = float(x)
+    if _is_mp(rho):
+        if not rho > 0:
+            raise ValueError(f"rho must be > 0, got {rho}")
+        return rho
+    x = float(rho)
     if not 0 < x < math.inf:
         raise ValueError(f"rho must be finite and > 0, got {x}")
     return x
@@ -108,15 +82,22 @@ def _atan_minus_x_over_x2(x: float) -> float:
 
 
 def _log1p_x2_over_x(x: float) -> float:
-    """log1p(x**2) / x, also where x**2 underflows."""
+    """log1p(x**2) / x, also where x**2 underflows or overflows."""
+    if x > 1e150:
+        return 2.0 * math.log(x) / x
     return math.log1p(x * x) / x if x > 1e-8 else x
 
 
-def rho(params: OscillatorParams, ts: float) -> Rho:
+def _log1p_inv_r2(r: float) -> float:
+    """log1p(1 / r**2), also where r**2 underflows."""
+    return math.log1p(1.0 / (r * r)) if r >= 1e-150 else -2.0 * math.log(r)
+
+
+def rho(params: OscillatorParams, ts: float) -> float:
     """Bandwidth ratio pi * amp * Ts for sampling period ts."""
     if not ts > 0:
         raise ValueError("ts must be > 0")
-    return Rho(math.pi * params.amp * ts)
+    return math.pi * params.amp * ts
 
 
 def aliasing_variance(params: OscillatorParams, ts: float) -> float:
@@ -152,8 +133,8 @@ def eta(rho_value) -> float:
     if _is_mp(r):
         return 1 + (2 / mp.pi) * ((r / 2) * mp.log(1 + 1 / r ** 2) - mp.atan(1 / r))
     if r < 1.0:
-        return (2.0 / math.pi) * (math.atan(r) + 0.5 * r * math.log1p(1.0 / (r * r)))
-    return 1.0 + (2.0 / math.pi) * (0.5 * r * math.log1p(1.0 / (r * r)) - math.atan(1.0 / r))
+        return (2.0 / math.pi) * (math.atan(r) + 0.5 * r * _log1p_inv_r2(r))
+    return 1.0 + (2.0 / math.pi) * (0.5 * r * _log1p_inv_r2(r) - math.atan(1.0 / r))
 
 
 def eta_d(rho_value) -> float:
@@ -175,7 +156,7 @@ def eta_isi(rho_value) -> float:
     if r < 1.0:
         a = math.atan(r)
         return r * r * (1.0 - (2.0 / math.pi) * a) + (2.0 / math.pi) * (
-            0.5 * r * math.log1p(1.0 / (r * r)) - r)
+            0.5 * r * _log1p_inv_r2(r) - r)
     x = 1.0 / r
     return (2.0 / math.pi) * (_atan_minus_x_over_x2(x) + 0.5 * _log1p_x2_over_x(x))
 
@@ -188,7 +169,7 @@ def gamma0(rho_value) -> float:
                               - r * mp.log(1 + 1 / r ** 2) + r)
     if r < 1.0:
         b = math.pi / 2.0 - math.atan(r)
-        return (2.0 / math.pi) * (b * (1.0 - r * r) + r * (1.0 - math.log1p(1.0 / (r * r))))
+        return (2.0 / math.pi) * (b * (1.0 - r * r) + r * (1.0 - _log1p_inv_r2(r)))
     x = 1.0 / r
     return (2.0 / math.pi) * (math.atan(x) - _atan_minus_x_over_x2(x)
                               - _log1p_x2_over_x(x))
@@ -243,13 +224,3 @@ def sir_from_sigma_u(sigma_u: float) -> float:
     if not s > 0:
         raise ValueError("sigma_u must be > 0")
     return sir_from_rho(s * s / (4.0 * math.pi))
-
-
-def error_breakdown(rho_value) -> ErrorBreakdown:
-    """Evaluate all error metrics at one rho."""
-    return ErrorBreakdown(
-        eta=eta(rho_value),
-        eta_d=eta_d(rho_value),
-        eta_isi=eta_isi(rho_value),
-        sir_linear=sir_from_rho(rho_value),
-    )

@@ -2,7 +2,8 @@
 
 Every subcommand writes a CSV (or JSON) artifact whose header records
 the package version, the resolved parameters, and the seed, so a run is
-reproducible from its own output.  Exit codes: 0 success, 2 usage error,
+reproducible from its own output; only a ``gen`` CSV file written with
+``-o`` holds the samples alone.  Exit codes: 0 success, 2 usage error,
 1 runtime error.
 """
 
@@ -60,11 +61,16 @@ class OutputWriter:
             for row in rows:
                 lines.append(",".join(_cell(v) for v in row))
             text = "\n".join(lines) + "\n"
-        if self.path in (None, "-"):
-            sys.stdout.write(text)
-        else:
-            with open(self.path, "w") as fh:
-                fh.write(text)
+        _emit(self.path, text)
+
+
+def _emit(path: str | None, text: str) -> None:
+    """Write ``text`` to stdout (no path, or "-") or to the file ``path``."""
+    if path in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 def _cell(v) -> str:
@@ -354,12 +360,7 @@ def _cmd_fit(args) -> int:
         "converged": result.converged,
         "flags": list(result.flags),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+    _emit(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -372,8 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def output(p):
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+
+    def common(p):
+        output(p)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("psd", help="evaluate a PSD model over a frequency grid")
@@ -401,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--binary", action="store_true", help="binary dump instead of CSV")
-    common(p)
+    output(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("validate", help="generator spectrum against the model")
@@ -458,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit process parameters to PSD points")
     p.add_argument("--points", required=True, help="CSV freq_hz,level_db")
     p.add_argument("--k", type=int, default=1, help="number of processes")
-    common(p)
+    output(p)
     p.set_defaults(func=_cmd_fit)
 
     return top

@@ -18,10 +18,11 @@ from scipy.optimize import least_squares
 
 from .params import CompositeModel, OscillatorParams
 from .pointsio import validate_points
-from .psd import composite_psd
 
 # pseudo-absent floor level used inside the optimizer, dB
 FLOOR_DB_MIN = -400.0
+# calibration offset of the fitted levels, Hz
+F_REF = 1e5
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,20 @@ def _local_slopes(freqs: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return np.diff(levels) / np.diff(np.log10(freqs))
 
 
+def _l100_db(freqs: np.ndarray, levels: np.ndarray, idx: np.ndarray) -> float:
+    """Level at F_REF on the -20 dB/dec line through the point of idx nearest F_REF."""
+    pick = idx[np.argmin(np.abs(np.log10(freqs[idx] / F_REF)))]
+    return levels[pick] + 20.0 * math.log10(freqs[pick] / F_REF)
+
+
+def _corner(l100_db: float, plateau_db: np.ndarray) -> float:
+    """Corner where the plateau median meets the -20 dB/dec line through l100_db.
+
+    amp/f3db^2 = l0 gives f3db = F_REF * 10^((l100_db - l0_db)/20).
+    """
+    return F_REF * 10.0 ** ((l100_db - float(np.median(plateau_db))) / 20.0)
+
+
 def _initial_guess(freqs: np.ndarray, levels: np.ndarray) -> tuple[list[float], list[str]]:
     """Deterministic initializer from the -20 dB/dec segment and plateaus.
 
@@ -68,26 +83,20 @@ def _initial_guess(freqs: np.ndarray, levels: np.ndarray) -> tuple[list[float], 
     flags: list[str] = []
     slopes = _local_slopes(freqs, levels)
     mid = np.where((slopes >= -25.0) & (slopes <= -15.0))[0]
-    f_ref = 1e5
     if mid.size:
-        # candidate segment points, pick the one nearest the reference offset
+        # candidate segment points, the one nearest the reference offset is used
         cand = np.unique(np.concatenate([mid, mid + 1]))
-        pick = cand[np.argmin(np.abs(np.log10(freqs[cand] / f_ref)))]
-        l100_db = levels[pick] + 20.0 * math.log10(freqs[pick] / f_ref)
         seg_start = freqs[mid[0]]
     else:
         # no clean -20 segment: extrapolate from the steepest point
-        pick = int(np.argmin(np.abs(slopes + 20.0))) if slopes.size else 0
-        l100_db = levels[pick] + 20.0 * math.log10(freqs[pick] / f_ref)
-        seg_start = freqs[pick]
+        cand = np.array([int(np.argmin(np.abs(slopes + 20.0))) if slopes.size else 0])
+        seg_start = freqs[cand[0]]
         flags.append("no-slope-segment")
+    l100_db = _l100_db(freqs, levels, cand)
     low = np.where((freqs < seg_start) & np.concatenate([[True], slopes > -10.0]))[0] \
         if mid.size else np.empty(0, dtype=int)
     if low.size:
-        l0_db = float(np.median(levels[low]))
-        # amp/f3db^2 = l0 -> f3db = f_ref * 10^((l100_db - l0_db)/20)
-        f3db = f_ref * 10.0 ** ((l100_db - l0_db) / 20.0)
-        f3db = min(max(f3db, freqs[0] / 100.0), f_ref / 10.0)
+        f3db = min(max(_corner(l100_db, levels[low]), freqs[0] / 100.0), F_REF / 10.0)
     else:
         f3db = freqs[0] / 10.0
         flags.append("free-running-like")
@@ -96,7 +105,7 @@ def _initial_guess(freqs: np.ndarray, levels: np.ndarray) -> tuple[list[float], 
     if hi.size:
         linf_db = float(np.median(levels[hi]))
         # the floor guess must sit below the sloped segment at its start
-        linf_db = min(linf_db, l100_db + 20.0 * math.log10(f_ref / freqs[-1]) + 10.0)
+        linf_db = min(linf_db, l100_db + 20.0 * math.log10(F_REF / freqs[-1]) + 10.0)
     else:
         linf_db = float(levels.min()) - 30.0
     return [math.log10(f3db), l100_db, linf_db], flags
@@ -167,23 +176,12 @@ def _slope_segments(freqs: np.ndarray, levels: np.ndarray) -> list[tuple[int, in
     """
     slopes = _local_slopes(freqs, levels)
     mask = (slopes >= -25.0) & (slopes <= -15.0)
-    runs = []
-    i = 0
-    while i < mask.size:
-        if mask[i]:
-            j = i
-            while j + 1 < mask.size and mask[j + 1]:
-                j += 1
-            runs.append([i, j + 1])
-            i = j + 1
-        i += 1
-    merged: list[list[int]] = []
-    for run in runs:
-        if merged and run[0] - merged[-1][1] <= 1:
-            merged[-1][1] = run[1]
-        else:
-            merged.append(run)
-    return [(i0, i1) for i0, i1 in merged
+    # run edges: [start, stop) in slope indices, so a run spans points start..stop
+    starts, stops = np.flatnonzero(np.diff(mask, prepend=False, append=False)).reshape(-1, 2).T
+    keep = starts[1:] - stops[:-1] > 1
+    starts = np.concatenate([starts[:1], starts[1:][keep]])
+    stops = np.concatenate([stops[:-1][keep], stops[-1:]])
+    return [(int(i0), int(i1)) for i0, i1 in zip(starts, stops)
             if math.log10(freqs[i1] / freqs[i0]) >= 0.25]
 
 
@@ -198,19 +196,12 @@ def _segment_member_seeds(freqs: np.ndarray, levels: np.ndarray,
     """
     segments = _slope_segments(freqs, levels)[:k]
     slopes = _local_slopes(freqs, levels)
-    f_ref = 1e5
     seeds = []
     for n, (i0, i1) in enumerate(segments):
-        idx = np.arange(i0, i1 + 1)
-        pick = idx[np.argmin(np.abs(np.log10(freqs[idx] / f_ref)))]
-        l100_db = levels[pick] + 20.0 * math.log10(freqs[pick] / f_ref)
+        l100_db = _l100_db(freqs, levels, np.arange(i0, i1 + 1))
         prev_end = segments[n - 1][1] if n > 0 else 0
         before = [i for i in range(prev_end, i0) if slopes[min(i, slopes.size - 1)] > -10.0]
-        if before:
-            l0_db = float(np.median(levels[before]))
-            f3db = f_ref * 10.0 ** ((l100_db - l0_db) / 20.0)
-        else:
-            f3db = freqs[i0] / 2.0
+        f3db = _corner(l100_db, levels[before]) if before else freqs[i0] / 2.0
         f3db = min(max(f3db, freqs[0] / 100.0), freqs[-1])
         if n == len(segments) - 1:
             next_start = freqs.size - 1

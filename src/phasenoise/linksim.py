@@ -28,7 +28,7 @@ import math
 import numbers
 import warnings
 from collections import deque
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
@@ -212,12 +212,16 @@ def _is_number(v, kind) -> bool:
 
 
 def _json_fields(obj, cls, what: str, extra: tuple = ()) -> dict:
-    """``obj`` if it is a JSON object whose keys are fields of ``cls`` or ``extra``."""
+    """``obj`` if it is a JSON object whose keys are fields of ``cls`` or ``extra``
+    and that holds every field of ``cls`` without a default."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object")
     unknown = sorted(set(obj) - {f.name for f in fields(cls)} - set(extra))
     if unknown:
         raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
+    if missing:
+        raise ValueError(f"missing {what} keys: {', '.join(missing)}")
     return obj
 
 
@@ -362,6 +366,8 @@ def pilot_phase_track(rx: np.ndarray, layout: PilotLayout,
 # SIR measurement
 
 _SE_BLOCKS = 16
+# shortest sequence measure_sir accepts
+_SIR_MIN_SYMBOLS = 10_000
 
 
 class _CellSums:
@@ -433,18 +439,12 @@ def _sir_from_cells(cells: _CellSums, noise_power: float) -> tuple[float, float]
     return float(min(total, SIR_CAP_DB)), se
 
 
-def measure_sir(tx_symbols: np.ndarray, rx_symbols: np.ndarray,
-                direct_gain: np.ndarray | None = None,
-                noise_power: float = 0.0,
-                min_symbols: int = 10_000) -> tuple[float, float]:
+def measure_sir(tx_symbols: np.ndarray, rx_symbols: np.ndarray) -> tuple[float, float]:
     """Signal-to-interference ratio of a received symbol sequence, in dB.
 
-    With ``direct_gain`` (the known per-symbol complex gain of the direct
-    path, available inside the simulator), signal power is
-    mean|x*g|^2 and interference is the residual rx - x*g.  Without it, a
-    single complex gain is regressed as g = <rx, x>/<x, x>, which is only
-    meaningful for (quasi-)static channels.  ``noise_power`` (the known
-    AWGN variance at the symbol rate) is subtracted from the residual.
+    A single complex gain is regressed as g = <rx, x>/<x, x>, which is only
+    meaningful for (quasi-)static channels; signal power is mean|x*g|^2
+    and interference is the residual rx - x*g.
 
     Returns (sir_db, standard error in dB from 16-block splitting); the
     ratio is capped at +80 dB.
@@ -453,15 +453,11 @@ def measure_sir(tx_symbols: np.ndarray, rx_symbols: np.ndarray,
     y = np.asarray(rx_symbols)
     if x.size != y.size:
         raise ValueError("tx/rx length mismatch")
-    if x.size < min_symbols:
-        raise ValueError(f"need at least {min_symbols} symbols, got {x.size}")
-    if direct_gain is None:
-        gain = np.vdot(x, y) / np.vdot(x, x)
-    else:
-        gain = np.asarray(direct_gain)
+    if x.size < _SIR_MIN_SYMBOLS:
+        raise ValueError(f"need at least {_SIR_MIN_SYMBOLS} symbols, got {x.size}")
     cells = _CellSums(x.size)
-    cells.add(0, **_sir_terms(x, y, gain))
-    return _sir_from_cells(cells, noise_power)
+    cells.add(0, **_sir_terms(x, y, np.vdot(x, y) / np.vdot(x, x)))
+    return _sir_from_cells(cells, 0.0)
 
 
 # ---------------------------------------------------------------------------

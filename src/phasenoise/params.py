@@ -12,8 +12,9 @@ the high-frequency white floor.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _undb(x_db: float) -> float:
@@ -75,12 +76,7 @@ class OscillatorParams:
     @property
     def phasor_halfwidth(self) -> float:
         """3-dB half-width pi * f_ref^2 * l100_sq of the free-running phasor PSD, Hz."""
-        import math
         return math.pi * self.amp
-
-    @property
-    def free_running(self) -> bool:
-        return self.f3db == 0.0
 
 
 @dataclass(frozen=True)
@@ -93,9 +89,6 @@ class CompositeModel:
         if len(self.processes) == 0:
             raise ValueError("composite model needs at least one process")
         object.__setattr__(self, "processes", tuple(self.processes))
-
-    def __len__(self) -> int:
-        return len(self.processes)
 
 
 def as_composite(model) -> CompositeModel:

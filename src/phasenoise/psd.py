@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import quad
 
-from .params import CompositeModel, OscillatorParams, ThreeGppParams
+from .params import CompositeModel, OscillatorParams, ThreeGppParams, as_composite
 
 # PLL branch is used when f3db exceeds the phasor half-width by this factor
 PLL_BRANCH_FACTOR = 10.0
@@ -214,11 +214,9 @@ def phasor_psd_with_floor(params: OscillatorParams, f, b_theta: float) -> Phasor
 
 def composite_psd(model: CompositeModel | OscillatorParams, f) -> float | np.ndarray:
     """Sum of the member phase-noise PSDs."""
-    if isinstance(model, OscillatorParams):
-        return pn_psd(model, f)
     farr = np.asarray(f, dtype=float)
     out = np.zeros_like(farr)
-    for p in model.processes:
+    for p in as_composite(model).processes:
         out = out + pn_psd(p, farr)
     return out if farr.ndim else float(out)
 

@@ -24,12 +24,12 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .params import CompositeModel, OscillatorParams, as_composite
+from .params import OscillatorParams, as_composite
 
 # f3db*Ts validity limits of the AR parametrization
 F3DB_TS_WARN = 0.01

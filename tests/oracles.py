@@ -225,6 +225,34 @@ def rrc_taps_loop(rolloff: float, span_symbols: int, osf: int) -> np.ndarray:
     return h / math.sqrt(np.sum(h * h) / osf)
 
 
+def slope_segments_loop(freqs: np.ndarray, levels: np.ndarray) -> list[tuple[int, int]]:
+    """Runs of local slope in [-25, -15] dB/dec spanning >= 1/4 decade, by loops.
+
+    The form ``fitting._slope_segments`` had before it was vectorized,
+    kept as the reference its runs must equal.
+    """
+    slopes = np.diff(levels) / np.diff(np.log10(freqs))
+    mask = (slopes >= -25.0) & (slopes <= -15.0)
+    runs = []
+    i = 0
+    while i < mask.size:
+        if mask[i]:
+            j = i
+            while j + 1 < mask.size and mask[j + 1]:
+                j += 1
+            runs.append([i, j + 1])
+            i = j + 1
+        i += 1
+    merged: list[list[int]] = []
+    for run in runs:
+        if merged and run[0] - merged[-1][1] <= 1:
+            merged[-1][1] = run[1]
+        else:
+            merged.append(run)
+    return [(i0, i1) for i0, i1 in merged
+            if math.log10(freqs[i1] / freqs[i0]) >= 0.25]
+
+
 def oversampled_chain(seq: np.ndarray, taps: np.ndarray, osf: int, theta: np.ndarray,
                       n_pad: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
     """Full-length reference of the oversampled link chain (no AWGN).

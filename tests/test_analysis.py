@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from phasenoise import (
     OscillatorParams,
-    Rho,
     aliasing_variance,
-    error_breakdown,
     eta,
     eta_d,
     eta_isi,
@@ -44,8 +42,6 @@ class TestRho:
     def test_zero_ts_rejected(self):
         with pytest.raises(ValueError):
             rho(SAT, 0.0)
-        with pytest.raises(ValueError):
-            Rho(0.0)
 
 
 class TestAliasing:
@@ -117,18 +113,21 @@ class TestEta:
             gamma0(r)
 
     def test_huge_rho_multiprecision_oracle(self):
-        # rho**2 overflows and 1/rho**2 underflows; the unrearranged forms
-        # cancel rho**2-sized terms, so the oracle needs ~2*log10(rho) digits
-        for r in (1e99, 1e150, 1e160, 1e300):
+        # rho**2 overflows (or underflows) and 1/rho**2 underflows (or
+        # overflows); the unrearranged forms cancel rho**2-sized terms, so
+        # the oracle needs ~2*|log10(rho)| digits
+        for r in (1e99, 1e150, 1e160, 1e300, 1e-154, 1e-160, 1e-200, 1e-300):
             with mp.workdps(700):
                 want = {f: oracles_fn(r) for f, oracles_fn in (
+                    (eta, oracles.eta_direct),
                     (gamma0, oracles.gamma0_direct), (eta_isi, oracles.eta_isi_direct),
                     (eta_d, oracles.eta_d_direct), (sum_gamma, oracles.sum_gamma_direct))}
                 want_sir = want[gamma0] / want[eta_isi]
             for f, w in want.items():
                 assert f(r) == pytest.approx(float(w), rel=1e-12), (f.__name__, r)
             assert sir_from_rho(r) == pytest.approx(float(want_sir), rel=1e-12)
-            assert sir_from_rho(r) == pytest.approx(2.0, rel=1e-12)
+            if r > 1:
+                assert sir_from_rho(r) == pytest.approx(2.0, rel=1e-12)
 
 
 class TestGamma:
@@ -227,14 +226,6 @@ class TestSirForPulse:
             sir_for_pulse(0.3, 1e-3, filter_span=8)
         with pytest.raises(ValueError, match="osf"):
             sir_for_pulse(0.3, 1e-3, osf=1)
-
-
-class TestBreakdown:
-    def test_fields_consistent(self):
-        b = error_breakdown(RHO_10M)
-        assert b.eta == pytest.approx(b.eta_d + b.eta_isi, rel=1e-12)
-        assert 0 <= b.eta <= 1
-        assert b.sir_linear == pytest.approx(gamma0(RHO_10M) / b.eta_isi, rel=1e-12)
 
 
 @settings(max_examples=200, deadline=None)

@@ -66,6 +66,8 @@ class TestExitCodes:
         for doc, msg in (
                 (dict(good, bogus=1, esn0=3), "unknown link config keys: bogus, esn0"),
                 (dict(good, pn_model=[member]), "unknown pn_model member keys: f3dB"),
+                (dict(good, pn_model=[{"linf_sq": 0.0}]),
+                 "missing pn_model member keys: f3db, l100_sq"),
                 ([1], "link config must be a JSON object"),
                 (dict(good, pn_model=[1]), "pn_model member must be a JSON object")):
             path = tmp_path / "cfg.json"

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phasenoise import (
     OscillatorParams,
@@ -16,6 +18,7 @@ from phasenoise import (
     pn_psd,
     threegpp_psd,
 )
+from phasenoise.fitting import _slope_segments
 
 import oracles
 
@@ -153,3 +156,24 @@ class TestFitComposite:
         pts = np.column_stack([freqs, db(threegpp_psd(THREEGPP_45GHZ, freqs))])
         rms = [fit_composite(pts, k).residual_rms_db for k in (1, 2, 3, 4)]
         assert all(b <= a + 1e-9 for a, b in zip(rms, rms[1:])), rms
+
+
+# slopes (dB/dec) in and out of the [-25, -15] run band, boundaries
+# included, each over a log-frequency step; runs come out shorter than,
+# at and longer than the quarter decade a segment needs
+_SLOPE = st.sampled_from([-40.0, -25.0, -20.0, -17.5, -15.0, -10.0, 0.0, 5.0])
+_STEP = st.sampled_from([0.02, 0.05, 0.1, 0.25, 0.3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_SLOPE, _STEP), min_size=1, max_size=40))
+@example([(0.0, 0.1)] * 8)                                    # no run
+@example([(0.0, 0.1)] * 3 + [(-20.0, 0.1)] * 4 + [(0.0, 0.1)] * 3)  # one run
+@example([(-20.0, 0.1)] * 3 + [(0.0, 0.1)] + [(-20.0, 0.1)] * 3)    # runs one slope apart
+@example([(-20.0, 0.1)] * 3 + [(0.0, 0.1)] * 2 + [(-20.0, 0.1)] * 3)  # two slopes apart
+def test_slope_segments_match_loop(segments):
+    slopes, steps = (np.array(v) for v in zip(*segments))
+    lg = np.concatenate([[1.0], 1.0 + np.cumsum(steps)])
+    levels = np.concatenate([[-60.0], -60.0 + np.cumsum(slopes * steps)])
+    freqs = 10.0 ** lg
+    assert _slope_segments(freqs, levels) == oracles.slope_segments_loop(freqs, levels)
