@@ -39,10 +39,10 @@ simulator's oversampled chain uses, so it describes what
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
-from scipy.signal import lfilter
 
 from .linksim import rrc_taps
 from .params import OscillatorParams
@@ -58,8 +58,8 @@ def _coerce(rho):
             raise ValueError(f"rho must be > 0, got {rho}")
         return rho
     x = float(rho)
-    if not 0 < x < math.inf:
-        raise ValueError(f"rho must be finite and > 0, got {x}")
+    if not sys.float_info.min <= x < math.inf:  # subnormal rho overflows 1/rho
+        raise ValueError(f"rho must be finite and >= {sys.float_info.min!r}, got {x}")
     return x
 
 
@@ -205,6 +205,8 @@ def sir_for_pulse(rolloff: float, rho_value, filter_span: int = 32, osf: int = 5
     a first-order recursion: with y = q_l filtered by 1/(1 - r z^-1),
     r = exp(-2*pi*rho/osf), the sum is 2 q_l.y - q_l.q_l.
     """
+    from scipy.signal import lfilter
+
     r = float(_coerce(rho_value))
     h = rrc_taps(rolloff, filter_span, osf)
     decay = math.exp(-2.0 * math.pi * r / osf)

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .params import CompositeModel, OscillatorParams
 from .pointsio import validate_points
@@ -118,6 +117,8 @@ def _optimize(freqs, levels, x0) -> tuple[np.ndarray, float, int, bool]:
     solver accepts only steps that lower the residual, so the result is
     never worse than the start.
     """
+    from scipy.optimize import least_squares
+
     evals = 0
 
     def residuals(x):

@@ -5,10 +5,10 @@ noise applied either on the oversampled (continuous-time surrogate)
 waveform or directly on the symbol-rate samples, matched filtering,
 pilot-aided phase tracking, and SIR/EVM/BER/SER measurement.  Shaping,
 matched filter and direct-path gain are one overlap-save FFT block
-filter (``_fft_filter``) that interpolates or decimates by osf in the
-frequency domain; the decimating filters compute only the symbol
-instants the link consumes.  The blocks lie on a fixed grid of absolute
-positions, and their cost is nearly flat in the filter span.
+filter (``_Oversampled._fft_filter``) that interpolates or decimates by
+osf in the frequency domain; the decimating filters compute only the
+symbol instants the link consumes.  The blocks lie on a fixed grid of
+absolute positions, and their cost is nearly flat in the filter span.
 
 A run streams in chunks of whole pilot frames (``CHUNK_SYMBOLS``), so its
 memory does not grow with ``n_symbols``; the statistics are
@@ -31,7 +31,6 @@ from collections import deque
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
 from .params import CompositeModel, OscillatorParams, as_composite
 # gen_composite stays a module attribute: perfbench/spans.py wraps linksim.gen_composite
@@ -486,23 +485,6 @@ def _complex_awgn(rng: np.random.Generator, n: int, variance: float) -> np.ndarr
     return w
 
 
-def _fft_filter(x: np.ndarray, spectrum: np.ndarray, osf: int, up: bool) -> np.ndarray:
-    """One overlap-save block of a real-tap FIR between the symbol rate and
-    osf times it: a circular convolution whose length is ``spectrum.size``
-    (the DFT of the taps, a multiple of osf).
-
-    With ``up``, ``x`` holds symbols: zero-stuffing them by osf tiles their
-    spectrum osf times.  Otherwise ``x`` holds waveform samples and only
-    every osf-th output is kept: the product spectrum is folded onto its
-    first 1/osf (``spectrum`` carries the 1/osf of the fold).
-    """
-    n = spectrum.size // osf
-    if up:
-        return ifft((spectrum.reshape(osf, n) * fft(x, n)).ravel(), overwrite_x=True)
-    folded = (fft(x, spectrum.size) * spectrum).reshape(osf, n).sum(axis=0)
-    return ifft(folded, overwrite_x=True)
-
-
 @dataclass(frozen=True)
 class _TxChunk:
     """A run of whole frames of the transmit sequence.
@@ -595,6 +577,9 @@ class _Oversampled:
     """
 
     def __init__(self, cfg: LinkConfig):
+        from scipy.fft import fft, ifft, next_fast_len
+
+        self.fft, self.ifft = fft, ifft
         osf, span = self.osf, self.span = cfg.osf, cfg.filter_span
         h = rrc_taps(cfg.rolloff, span, osf)
         size = next_fast_len(_BLOCK + span) * osf
@@ -623,6 +608,23 @@ class _Oversampled:
         # drawn so that every later sample gets the same draws
         self._impair(np.zeros(self.hist, dtype=complex), np.empty(self.hist, dtype=complex))
 
+    def _fft_filter(self, x: np.ndarray, spectrum: np.ndarray, up: bool) -> np.ndarray:
+        """One overlap-save block of a real-tap FIR between the symbol rate and
+        osf times it: a circular convolution whose length is ``spectrum.size``
+        (the DFT of the taps, a multiple of osf).
+
+        With ``up``, ``x`` holds symbols: zero-stuffing them by osf tiles
+        their spectrum osf times.  Otherwise ``x`` holds waveform samples and
+        only every osf-th output is kept: the product spectrum is folded onto
+        its first 1/osf (``spectrum`` carries the 1/osf of the fold).
+        """
+        osf, fft, ifft = self.osf, self.fft, self.ifft
+        n = spectrum.size // osf
+        if up:
+            return ifft((spectrum.reshape(osf, n) * fft(x, n)).ravel(), overwrite_x=True)
+        folded = (fft(x, spectrum.size) * spectrum).reshape(osf, n).sum(axis=0)
+        return ifft(folded, overwrite_x=True)
+
     def _impair(self, wave: np.ndarray, phasor: np.ndarray) -> None:
         """Apply the phasor (into ``phasor``) and the AWGN to ``wave`` in place."""
         if self.pn is not None:
@@ -634,7 +636,7 @@ class _Oversampled:
     def _block(self) -> tuple[np.ndarray, np.ndarray | None]:
         osf, span, hist, B = self.osf, self.span, self.hist, _BLOCK
         n = min(B, self.seq.size - span) * osf  # waveform samples; fewer only at the end
-        wave = _fft_filter(self.seq[:B + span], self.h, osf, up=True)
+        wave = self._fft_filter(self.seq[:B + span], self.h, up=True)
         for buf in (self.rx, self.ph):
             if buf is not None:
                 buf[:hist] = buf[buf.size - hist:]
@@ -645,9 +647,9 @@ class _Oversampled:
         # outputs of real symbols lo .. lo+B-1; keep those of 0 .. n_in-1
         lo = self.b * B - span
         keep = slice(max(0, -lo), self.n_in - lo)
-        y = _fft_filter(self.rx, self.h_mf, osf, up=False)[span:span + B][keep]
+        y = self._fft_filter(self.rx, self.h_mf, up=False)[span:span + B][keep]
         g0 = None if self.ph is None else \
-            _fft_filter(self.ph, self.h_g0, osf, up=False)[span:span + B][keep]
+            self._fft_filter(self.ph, self.h_g0, up=False)[span:span + B][keep]
         self.seq, self.b = self.seq[B:], self.b + 1
         return y, g0
 

@@ -58,7 +58,7 @@ class OscillatorParams:
                 f"f3db={self.f3db:g} Hz is not small compared to the "
                 f"calibration offset f_ref={self.f_ref:g} Hz; the level "
                 "parametrization loses accuracy",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__
             )
 
     @classmethod

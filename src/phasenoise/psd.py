@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .params import CompositeModel, OscillatorParams, ThreeGppParams, as_composite
 
@@ -115,6 +114,8 @@ def _general_tau_max(c: float, f3db: float, envelope: float = 1e-12) -> float:
 
 def _phasor_continuous_general(params: OscillatorParams, f: float,
                                epsabs: float = 1e-9) -> float:
+    from scipy.integrate import quad
+
     # cosine transform of R_h(tau) - delta_weight, truncated where the
     # integrand envelope falls below 1e-12
     c = math.pi * params.amp / params.f3db

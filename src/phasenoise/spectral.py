@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 DEFAULT_SEGMENT_LEN = 2 ** 14
 
@@ -78,6 +77,8 @@ class WelchAccumulator:
 
     def __init__(self, n: int, fs: float, segment_len: int = DEFAULT_SEGMENT_LEN,
                  overlap: float = 0.5, window: str = "hann"):
+        import scipy.signal
+
         if segment_len & (segment_len - 1) or segment_len <= 0:
             raise ValueError(f"segment_len must be a power of two, got {segment_len}")
         if n < 4 * segment_len:

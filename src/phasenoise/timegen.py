@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .params import OscillatorParams, as_composite
 
@@ -138,6 +137,8 @@ class _ArSource:
         self.model = {"kind": "ar", "a": coeffs.a, "sigma_u_sq": coeffs.sigma_u_sq}
 
     def take(self, n: int) -> np.ndarray:
+        from scipy.signal import lfilter
+
         if n == 0:
             return np.empty(0)
         drive = np.empty(n)

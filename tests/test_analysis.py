@@ -129,6 +129,16 @@ class TestEta:
             if r > 1:
                 assert sir_from_rho(r) == pytest.approx(2.0, rel=1e-12)
 
+    def test_subnormal_rho_rejected(self):
+        # 1/rho overflows below the smallest normal float
+        funcs = (eta, eta_d, eta_isi, gamma0, sum_gamma, sir_from_rho)
+        for r in (1e-310, 5e-324):
+            for f in funcs:
+                with pytest.raises(ValueError, match="rho must be finite"):
+                    f(r)
+        for f in funcs:
+            assert math.isfinite(f(2.3e-308)) and f(2.3e-308) > 0, f.__name__
+
 
 class TestGamma:
     def test_quadrature_oracle(self):

@@ -78,6 +78,12 @@ class TestExitCodes:
             assert err.count("\n") == 1 and "Traceback" not in err
             assert msg in err
 
+    def test_subnormal_rho_is_1(self, capsys):
+        code, out, err = run_capture(capsys, ["errors", "--sweep-rho", "1e-320:1e-300:3"])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_success_is_0(self, capsys):
         code, out, _ = run_capture(
             capsys, ["errors", "--l100-db", "-88", "--ts", "1e-7"])
@@ -247,25 +253,62 @@ _RSS_CHILD = ("import sys\n"
               "print(code, hwm[0].split()[1])\n")
 
 
-def _child_max_rss_mb(argv) -> float:
+def _child_stdout(script: str, argv) -> str:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [os.path.dirname(os.path.dirname(phasenoise.__file__)),
          os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", _RSS_CHILD, *argv], env=env, check=True,
-                         capture_output=True, text=True, timeout=300).stdout.split()
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env, check=True,
+                          capture_output=True, text=True, timeout=300).stdout
+
+
+def _child_max_rss_mb(argv) -> float:
+    out = _child_stdout(_RSS_CHILD, argv).split()
     assert out[0] == "0"
     return int(out[1]) / 1024  # kB
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_gen_and_validate_memory_bounded_by_block(tmp_path):
-    # 2**22 samples are 32 MB per array; a whole-array path holds several
-    flags = ["--f3db", "10", "--l100-db", "-88", "--linf-db", "-114", "--ts", "1e-7",
-             "--n", str(2 ** 22)]
-    base = _child_max_rss_mb([])
-    for argv in (["validate", *flags, "-o", str(tmp_path / "v.csv")],
-                 ["gen", *flags, "--binary", "-o", str(tmp_path / "g.bin")]):
-        assert _child_max_rss_mb(argv) - base < 40.0, argv[0]
+    # 2**22 samples are 32 MB per array; a whole-array path holds several.
+    # Each baseline is the same command at the smallest --n it accepts, so
+    # that both children load the same modules.
+    flags = ["--f3db", "10", "--l100-db", "-88", "--linf-db", "-114", "--ts", "1e-7"]
+    for cmd, smallest, out in (("validate", 4 * 2 ** 14, ["-o", str(tmp_path / "v.csv")]),
+                               ("gen", 1, ["--binary", "-o", str(tmp_path / "g.bin")])):
+        base = _child_max_rss_mb([cmd, *flags, "--n", str(smallest), *out])
+        assert _child_max_rss_mb([cmd, *flags, "--n", str(2 ** 22), *out]) - base < 40.0, cmd
+
+
+# the scipy modules loaded after `import phasenoise`, after importing the
+# CLI and after one command (its stdout discarded), one JSON list a line
+_SCIPY_CHILD = ("import contextlib, io, json, sys\n"
+                "def loaded():\n"
+                "    print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))\n"
+                "import phasenoise\n"
+                "loaded()\n"
+                "from phasenoise.cli import run\n"
+                "loaded()\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert run(sys.argv[1:]) == 0\n"
+                "loaded()\n")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["--help"], ("scipy",)),
+    (["errors", "--sweep-rho", "1e-4:1e-2:5"], ("scipy",)),
+    (["psd", "--f3db", "10", "--l100-db", "-88", "--fmin", "1", "--fmax", "1e6"], ("scipy",)),
+    (["fit", "--points", "sat.csv", "--k", "2"], ("scipy.signal", "scipy.integrate")),
+], ids=["help", "errors", "psd", "fit"])
+def test_commands_load_only_the_scipy_they_call(tmp_path, monkeypatch, argv, absent):
+    # each scipy subpackage is imported by the function that calls it
+    monkeypatch.chdir(tmp_path)
+    freqs = np.logspace(1, 8, 120)
+    sat = OscillatorParams.from_db(10.0, -88.0, -114.0)
+    save_points(np.column_stack([freqs, 10 * np.log10(pn_psd(sat, freqs))]), "sat.csv")
+    lines = _child_stdout(_SCIPY_CHILD, argv).splitlines()
+    on_import, on_cli_import, after = map(json.loads, lines)
+    assert on_import == on_cli_import == []
+    assert not [m for m in after if m.startswith(absent)], after
 
 
 class TestSirBer:

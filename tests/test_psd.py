@@ -21,6 +21,7 @@ from phasenoise import (
     pn_psd,
     threegpp_psd,
 )
+from phasenoise import params
 from phasenoise.psd import PhasorPsdValue
 
 import oracles
@@ -298,6 +299,13 @@ class TestTypes:
             OscillatorParams(f3db=10, l100_sq=1e-9, linf_sq=-1e-12)
         with pytest.warns(UserWarning, match="f_ref"):
             OscillatorParams(f3db=2e4, l100_sq=1e-9)
+
+    def test_corner_warning_names_the_building_frame(self):
+        # not the dataclass-generated __init__, whose filename is <string>
+        with pytest.warns(UserWarning, match="f_ref") as record:
+            OscillatorParams.from_db(1e6, -80.0)
+            OscillatorParams(f3db=2e4, l100_sq=1e-9)
+        assert [w.filename for w in record] == [params.__file__, __file__]
 
     def test_phasor_value_delta_range(self):
         with pytest.raises(ValueError):
