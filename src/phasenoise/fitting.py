@@ -163,8 +163,6 @@ def fit_single(points) -> FitResult:
     if 10.0 ** x[0] < freqs[0]:
         if "free-running-like" not in flags:
             flags = flags + ["free-running-like"]
-        warnings.warn("fitted corner frequency lies below the lowest supplied "
-                      "point; the data looks free-running", stacklevel=2)
     return FitResult(params=_member_params(x), residual_rms_db=fun,
                      iterations=nfev, converged=ok, flags=tuple(flags))
 

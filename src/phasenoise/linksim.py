@@ -26,7 +26,6 @@ import itertools
 import json
 import math
 import numbers
-import warnings
 from collections import deque
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -333,13 +332,6 @@ def _track(rx: np.ndarray, positions: np.ndarray, fields_rx: np.ndarray,
     return out, phi, flags
 
 
-def _warn_unwrap(flags: int) -> None:
-    """Warn once, at the caller of the public function that calls this."""
-    if flags:
-        warnings.warn(f"{flags} inter-pilot phase jumps above pi/2; unwrap may "
-                      "be ambiguous", stacklevel=3)
-
-
 def pilot_phase_track(rx: np.ndarray, layout: PilotLayout,
                       pilot_symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Pilot-aided phase correction by interpolation between field estimates.
@@ -355,10 +347,8 @@ def pilot_phase_track(rx: np.ndarray, layout: PilotLayout,
         return rx, np.empty(0), 0
     idx = layout.field_starts[:, None] + np.arange(layout.pilot_len)[None, :]
     pil = pilot_symbols.reshape(layout.n_fields, layout.pilot_len)
-    out, phi, flags = _track(rx, np.arange(layout.n_tx, dtype=float), rx[idx], pil,
-                             layout.centers, None)
-    _warn_unwrap(flags)
-    return out, phi, flags
+    return _track(rx, np.arange(layout.n_tx, dtype=float), rx[idx], pil,
+                  layout.centers, None)
 
 
 # ---------------------------------------------------------------------------
@@ -534,24 +524,18 @@ def _tx_chunks(cfg: LinkConfig, const: Constellation):
         start += tx.size
 
 
-class _SymbolRate:
-    """``dt`` channel: phase noise and AWGN on the symbol-rate samples."""
-
-    def __init__(self, cfg: LinkConfig):
-        self.pn = CompositeGenerator(cfg.pn_model, cfg.ts, member_seed(cfg.seed, _SEED_PN))
-        self.awgn = _sub_rng(cfg.seed, _SEED_AWGN)
-        esn0 = _esn0(cfg)
-        self.variance = None if esn0 is None else 1.0 / esn0
-
-    def push(self, tx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g0 = np.exp(1j * self.pn.take(tx.size))
-        y = tx * g0
-        if self.variance is not None:
-            y += _complex_awgn(self.awgn, tx.size, self.variance)
-        return y, g0
-
-    def finish(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.empty(0, dtype=complex), np.empty(0, dtype=complex)
+def _symbol_rate(cfg: LinkConfig, chunks):
+    """``dt`` channel: phase noise and AWGN on the symbol-rate samples of
+    each chunk, yielded as (chunk, y, g0)."""
+    pn = CompositeGenerator(cfg.pn_model, cfg.ts, member_seed(cfg.seed, _SEED_PN))
+    awgn = _sub_rng(cfg.seed, _SEED_AWGN)
+    esn0 = _esn0(cfg)
+    for chunk in chunks:
+        g0 = np.exp(1j * pn.take(chunk.tx.size))
+        y = chunk.tx * g0
+        if esn0 is not None:
+            y += _complex_awgn(awgn, chunk.tx.size, 1.0 / esn0)
+        yield chunk, y, g0
 
 
 class _Oversampled:
@@ -633,7 +617,7 @@ class _Oversampled:
         if self.variance is not None:
             wave += _complex_awgn(self.awgn, wave.size, self.variance)
 
-    def _block(self) -> tuple[np.ndarray, np.ndarray | None]:
+    def _block(self) -> tuple[np.ndarray, np.ndarray]:
         osf, span, hist, B = self.osf, self.span, self.hist, _BLOCK
         n = min(B, self.seq.size - span) * osf  # waveform samples; fewer only at the end
         wave = self._fft_filter(self.seq[:B + span], self.h, up=True)
@@ -648,34 +632,37 @@ class _Oversampled:
         lo = self.b * B - span
         keep = slice(max(0, -lo), self.n_in - lo)
         y = self._fft_filter(self.rx, self.h_mf, up=False)[span:span + B][keep]
-        g0 = None if self.ph is None else \
+        # without phase noise the direct path has the unit gain of the
+        # unit-energy taps
+        g0 = np.ones_like(y) if self.ph is None else \
             self._fft_filter(self.ph, self.h_g0, up=False)[span:span + B][keep]
         self.seq, self.b = self.seq[B:], self.b + 1
         return y, g0
 
-    def _run(self, tx: np.ndarray, last: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    def _run(self, tx: np.ndarray, last: bool) -> tuple[np.ndarray, np.ndarray]:
         self.seq = np.concatenate([self.seq, tx])
         out = [(np.empty(0, dtype=complex),) * 2]
         while self.seq.size >= _BLOCK + self.span or (last and self.seq.size > self.span):
             out.append(self._block())
-        y = np.concatenate([o[0] for o in out])
-        return y, None if self.ph is None else np.concatenate([o[1] for o in out])
+        return np.concatenate([o[0] for o in out]), np.concatenate([o[1] for o in out])
 
-    def push(self, tx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    def push(self, tx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self.n_in += tx.size
         return self._run(tx, last=False)
 
-    def finish(self) -> tuple[np.ndarray, np.ndarray | None]:
+    def finish(self) -> tuple[np.ndarray, np.ndarray]:
         return self._run(self.tail, last=True)
 
 
 def _received(cfg: LinkConfig, const: Constellation):
     """Each transmit chunk with the channel's output at its positions:
-    (chunk, y, g0), g0 the direct-path gain or None."""
-    chan = _SymbolRate(cfg) if cfg.pn_mode == "dt" else _Oversampled(cfg)
+    (chunk, y, g0), g0 the direct-path gain."""
+    if cfg.pn_mode == "dt":
+        yield from _symbol_rate(cfg, _tx_chunks(cfg, const))
+        return
+    chan = _Oversampled(cfg)
     pending = deque()
-    y = np.empty(0, dtype=complex)
-    g0 = None
+    y = g0 = np.empty(0, dtype=complex)
     for chunk in itertools.chain(_tx_chunks(cfg, const), [None]):
         if chunk is None:
             y_new, g_new = chan.finish()
@@ -683,15 +670,12 @@ def _received(cfg: LinkConfig, const: Constellation):
             pending.append(chunk)
             y_new, g_new = chan.push(chunk.tx)
         y = np.concatenate([y, y_new]) if y.size else y_new
-        if g_new is not None:
-            g0 = np.concatenate([g0, g_new]) if g0 is not None and g0.size else g_new
+        g0 = np.concatenate([g0, g_new]) if g0.size else g_new
         while pending and y.size >= pending[0].tx.size:
             ch = pending.popleft()
             k = ch.tx.size
-            yield ch, y[:k], None if g0 is None else g0[:k]
-            y = y[k:]
-            if g0 is not None:
-                g0 = g0[k:]
+            yield ch, y[:k], g0[:k]
+            y, g0 = y[k:], g0[k:]
 
 
 def simulate_link(cfg: LinkConfig) -> LinkStats:
@@ -703,15 +687,10 @@ def simulate_link(cfg: LinkConfig) -> LinkStats:
     unwrap_flags = n_err = n_sym_err = 0
     for ch, y, g0 in _received(cfg, const):
         x = ch.syms
-        y_info = y[ch.info]
-        # SIR on the untracked matched-filter output; without phase noise
-        # the direct path has the unit gain of the unit-energy taps
-        if g0 is None:
-            terms = _sir_terms(x, y_info, 1.0)
-        else:
-            g0_info = g0[ch.info]
-            terms = _sir_terms(x, y_info, g0_info)
-            terms["gain"] = np.abs(g0_info) ** 2
+        y_info, g0_info = y[ch.info], g0[ch.info]
+        # SIR on the untracked matched-filter output
+        terms = _sir_terms(x, y_info, g0_info)
+        terms["gain"] = np.abs(g0_info) ** 2
         if plen:
             field_idx = ch.fields[:, None] + np.arange(plen)[None, :]
             centers = ch.start + ch.fields + (plen - 1) / 2.0
@@ -728,9 +707,8 @@ def simulate_link(cfg: LinkConfig) -> LinkStats:
 
     esn0 = _esn0(cfg)
     sir_db, sir_se = _sir_from_cells(cells, 0.0 if esn0 is None else 1.0 / esn0)
-    power_loss = cells.total("gain") / n if "gain" in cells.parts else 1.0
+    power_loss = cells.total("gain") / n
     evm = math.sqrt((cells.total("err") / n) / (cells.total("energy") / n))
-    _warn_unwrap(unwrap_flags)
     n_bits = n * const.bits_per_symbol
     ber = n_err / n_bits
     ber_se = math.sqrt(max(ber * (1.0 - ber), 1.0 / n_bits) / n_bits)

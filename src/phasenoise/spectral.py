@@ -7,7 +7,6 @@ one-push case.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,7 +138,7 @@ class WelchAccumulator:
         self.base += end - self.seg
 
     def result(self) -> PsdEstimate:
-        """The estimate of the whole stream; warns when it is nonstationary."""
+        """The estimate of the whole stream, flagged when it is nonstationary."""
         got = self.base + self.buf.size
         if got != self.n:
             raise ValueError(f"got {got} of the {self.n} samples announced")
@@ -151,10 +150,6 @@ class WelchAccumulator:
         # spectrum keeps rising below the resolution (random walks and
         # processes with corners far below fs/segment_len)
         flagged = bool(v2 > 0.0) if v1 == 0.0 else bool(v2 / v1 > 10.0)
-        if flagged:
-            warnings.warn("mean still drifts at the segment scale (random walk or "
-                          "unresolved corner); the PSD estimate is unreliable at "
-                          "low frequencies", stacklevel=2)
         return PsdEstimate(freqs=np.fft.rfftfreq(self.seg, 1.0 / self.fs), psd=psd,
                            n_segments=self.n_segments, window=self.window,
                            resolution=self.fs / self.seg, nonstationary=flagged)
@@ -177,9 +172,9 @@ def welch_psd(samples, fs: float, segment_len: int = DEFAULT_SEGMENT_LEN,
     window : str
         Window name accepted by ``scipy.signal.get_window``.
 
-    No detrending is applied, so the estimate conserves total power;
-    nonstationary inputs (drifting mean) are flagged with a warning and
-    the ``nonstationary`` field.  The one-push case of
+    No detrending is applied, so the estimate conserves total power; an
+    input whose mean drifts, so that the estimate is unreliable at low
+    frequencies, is flagged ``nonstationary``.  The one-push case of
     :class:`WelchAccumulator`.
     """
     x = np.asarray(samples, dtype=float)

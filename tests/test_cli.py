@@ -371,6 +371,20 @@ class TestSirBer:
         _, out2, _ = run_capture(capsys, argv)
         assert out1 == out2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("l100_db, esn0_db, want", [
+        ("-62", "10,20", [(10, 7), (20, 7)]),   # a random walk too fast for the pilots
+        ("-88", "7", [])])
+    def test_ber_writes_one_warning_line_per_flagged_row(self, capsys, l100_db, esn0_db,
+                                                         want):
+        code, _, err = run_capture(capsys, [
+            "ber", "--pn", "dt", "--f3db", "0", "--l100-db", l100_db, "--n-symbols", "20000",
+            "--esn0-db", esn0_db, "--seed", "3"])
+        assert code == 0
+        assert err.splitlines() == [
+            f"phasenoise: warning: esn0_db={e}: {n} inter-pilot phase jumps above pi/2; "
+            "unwrap may be ambiguous" for e, n in want]
+
 
 class TestFit:
     def test_single_process_roundtrip(self, capsys, tmp_path):
@@ -404,15 +418,33 @@ class TestFit:
      "2758bd08e0174303ba655a6e2740dc151139c926a80f94984ad473a3c91d21ea"),
     (["fit", "--points", "sat.csv", "--k", "2"],
      "02c2409cb78d99a86921890b3e1592c78a6df50a470758fb840e7bba1ca3d523"),
-], ids=["errors_sweep", "errors_alias", "psd_phasor", "fit_k2"])
+    # flagged free-running-like
+    (["fit", "--points", "wiener.csv", "--k", "1"],
+     "9f02a166e1897e75d5b893b41133371309a5f9d6dec10ac2c35a761bf43e898c"),
+    # 7 unwrap flags at each Es/N0
+    (["ber", "--pn", "dt", "--f3db", "0", "--l100-db", "-62", "--n-symbols", "20000",
+      "--esn0-db", "10,20", "--seed", "3"],
+     "44a010f139f5fe6e911bdbb84098deaaf1f2763b596bc37b082ddfd06d296a67"),
+    (["ber", "--pn", "ct", "--f3db", "10", "--l100-db", "-88", "--linf-db", "-114",
+      "--n-symbols", "20000", "--esn0-db", "8", "--seed", "5"],
+     "96990ceae2565f9445a23859181cf0149b708b9d44fbdf361baeab1b21bf1ee5"),
+    (["ber", "--pn", "none", "--n-symbols", "20000", "--esn0-db", "6", "--seed", "5"],
+     "7acebdd4b29a907ad577b051030367e755179c233760a0b69ebf4235ecaa56bb"),
+    # a random walk: the estimate is flagged nonstationary
+    (["validate", "--f3db", "0", "--l100-db", "-100", "--ts", "1e-7", "--n", "65536"],
+     "b4b872206d9c207b7ea2129652389fe8076a51aadd7f8a3ede0aceec197e4000"),
+], ids=["errors_sweep", "errors_alias", "psd_phasor", "fit_k2", "fit_k1_free_running",
+        "ber_dt_unwrap", "ber_ct", "ber_none", "validate_nonstationary"])
 def test_stdout_bytes_pinned(capsys, tmp_path, monkeypatch, argv, digest):
-    # SHA-256 of the whole stdout, header included; the fit reads the
-    # satellite curve (10 Hz, -88 dB, -114 dB floor) through a relative
-    # path, so that its recorded arguments do not vary
+    # SHA-256 of the whole stdout, header included; the fits read the
+    # satellite curve (10 Hz, -88 dB, -114 dB floor) and a pure -20 dB/dec
+    # curve through relative paths, so that their recorded arguments do
+    # not vary
     monkeypatch.chdir(tmp_path)
     freqs = np.logspace(1, 8, 120)
     sat = OscillatorParams.from_db(10.0, -88.0, -114.0)
     save_points(np.column_stack([freqs, 10 * np.log10(pn_psd(sat, freqs))]), "sat.csv")
+    save_points(np.column_stack([freqs, -88.0 - 20.0 * np.log10(freqs / 1e5)]), "wiener.csv")
     code, out, _ = run_capture(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,7 +1,6 @@
 """Parameter recovery from PSD point sets."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -49,12 +48,12 @@ class TestFitSingle:
         assert db(q.l100_sq) == pytest.approx(-88.0, abs=1.0)
         assert db(q.linf_sq) == pytest.approx(-114.0, abs=2.0)
 
+    @pytest.mark.filterwarnings("error")  # the flag is reported on the result only
     def test_pure_slope_flags_free_running(self):
         free = OscillatorParams.from_db(0.0, -88.0)
         freqs = np.logspace(2, 7, 40)
         pts = np.column_stack([freqs, db(pn_psd(free, freqs))])
-        with pytest.warns(UserWarning, match="free-running"):
-            r = fit_single(pts)
+        r = fit_single(pts)
         assert "free-running-like" in r.flags
         assert r.params[0].f3db < freqs[0]
 

@@ -1,7 +1,6 @@
 """Welch estimation, model comparison, and dB conversions."""
 
 import math
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -63,13 +62,13 @@ class TestWelch:
         dev = db(est.psd[band]) - db(level)
         assert np.max(np.abs(dev)) < 1.0
 
+    @pytest.mark.filterwarnings("error")  # the flag is reported on the result only
     def test_ar_stream_matches_model_in_band(self):
         ts = 1e-7
         n = 2 ** 22
         c = ar_coefficients(SAT_NOFLOOR, ts)
         stream = gen_ar(c, n, seed=20240817)
-        with pytest.warns(UserWarning, match="unresolved corner|random walk"):
-            est = welch_psd(stream.samples, fs=1 / ts)
+        est = welch_psd(stream.samples, fs=1 / ts)
         assert est.nonstationary  # 10 Hz corner sits far below the resolution
         # away from the folding region the sampled process follows the model
         cmp_low = compare_psd(est, lambda f: pn_psd(SAT_NOFLOOR, f),
@@ -132,10 +131,10 @@ class TestWelch:
         want = est_many.n_segments / est_few.n_segments
         assert ratio == pytest.approx(want, rel=0.3)
 
+    @pytest.mark.filterwarnings("error")  # the flag is reported on the result only
     def test_nonstationary_flagged(self):
         wiener = gen_wiener(1e-4, 2 ** 18, seed=2)
-        with pytest.warns(UserWarning, match="random walk"):
-            est = welch_psd(wiener.samples, fs=1e6, segment_len=2 ** 14)
+        est = welch_psd(wiener.samples, fs=1e6, segment_len=2 ** 14)
         assert est.nonstationary
         white = gen_white_floor(1e-11, 1e-6, 2 ** 18, seed=3)
         est2 = welch_psd(white.samples, fs=1e6, segment_len=2 ** 14)
@@ -160,12 +159,6 @@ class TestWelch:
             welch_psd(np.zeros(100), fs=1.0, segment_len=2 ** 14)
 
 
-def _quiet(fn, *args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the nonstationary flag warns
-        return fn(*args, **kwargs)
-
-
 def _streams(n, seed):
     """White, AR (unresolved and resolved corners), random-walk streams, and a
     frequency offset: a phase ramp of 1 rad per sample over the white floor."""
@@ -188,7 +181,7 @@ class TestWelchAccumulator:
         # the satellite stream `validate` checks, over several batches of segments
         seg = 2 ** log2_len
         x = gen_composite(SAT, 1e-7, 40 * seg + 777, seed=log2_len).samples
-        est = _quiet(welch_psd, x, fs=1e7, segment_len=seg, overlap=overlap, window=window)
+        est = welch_psd(x, fs=1e7, segment_len=seg, overlap=overlap, window=window)
         freqs, want = scipy.signal.welch(x, fs=1e7, window=window, nperseg=seg,
                                          noverlap=int(seg * overlap), detrend=False)
         assert np.array_equal(est.freqs, freqs)
@@ -209,11 +202,11 @@ class TestWelchAccumulator:
         x = _streams(4 * seg + extra, seed)[kind]
         edges = [0, *sorted(c % (x.size + 1) for c in cuts), x.size]
         with mock.patch.object(spectral, "_BATCH", batch):
-            whole = _quiet(welch_psd, x, fs=1.0, segment_len=seg, overlap=overlap)
+            whole = welch_psd(x, fs=1.0, segment_len=seg, overlap=overlap)
             acc = WelchAccumulator(x.size, 1.0, seg, overlap)
             for a, b in zip(edges, edges[1:]):
                 acc.push(x[a:b])
-            part = _quiet(acc.result)
+            part = acc.result()
         assert np.array_equal(part.psd, whole.psd)
         assert part.n_segments == whole.n_segments
         assert part.nonstationary == whole.nonstationary
@@ -226,7 +219,7 @@ class TestWelchAccumulator:
                 acc = WelchAccumulator(x.size, 1e7, seg)
                 for lo in range(0, x.size, 10_000):
                     acc.push(x[lo:lo + 10_000])
-                assert _quiet(acc.result).nonstationary == want, (kind, seg)
+                assert acc.result().nonstationary == want, (kind, seg)
                 flags.add(want)
                 # the difference variances behind the flag, from the shifted sums
                 for m, (_, s1, s2) in acc.diffs:
