@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit process parameters to PSD points")
     p.add_argument("--points", required=True, help="CSV freq_hz,level_db")
-    p.add_argument("--k", type=int, default=1, help="number of processes")
+    p.add_argument("--k", type=int, default=1, help="at most K processes")
     output(p)
     p.set_defaults(func=_cmd_fit)
 
@@ -477,7 +477,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"phasenoise: error: {exc}", file=sys.stderr)
         return 1
 

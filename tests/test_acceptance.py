@@ -10,7 +10,6 @@ on the band that a sum of Lorentzian processes can follow.
 """
 
 import math
-import warnings
 
 import mpmath as mp
 import numpy as np
@@ -112,9 +111,7 @@ def test_criterion_4_generator_spectral_validation():
     """Welch spectrum of the generated stream vs the closed-form PSD."""
     ts = 1e-7
     stream = gen_composite(SAT_PARAMS, ts, 2 ** 22, seed=98765)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # 10 Hz corner sits below the resolution
-        est = welch_psd(stream.samples, fs=1.0 / ts)
+    est = welch_psd(stream.samples, fs=1.0 / ts)
     cmp = compare_psd(est, lambda f: pn_psd(SAT_PARAMS, f),
                       band=(10 * est.resolution, 0.4 / ts))
     spectrum_ok = cmp.max_dev_db < 1.5

@@ -84,6 +84,14 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_unallocatable_grid_is_1(self, capsys):
+        # 711 PiB exceeds any address space, so the allocation fails at once
+        code, out, err = run_capture(capsys, ["psd", "--f3db", "10", "--l100-db", "-88",
+                                              "--n", "100000000000000000"])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_success_is_0(self, capsys):
         code, out, _ = run_capture(
             capsys, ["errors", "--l100-db", "-88", "--ts", "1e-7"])
@@ -417,10 +425,10 @@ class TestFit:
       "--n", "13", "--phasor"],
      "2758bd08e0174303ba655a6e2740dc151139c926a80f94984ad473a3c91d21ea"),
     (["fit", "--points", "sat.csv", "--k", "2"],
-     "02c2409cb78d99a86921890b3e1592c78a6df50a470758fb840e7bba1ca3d523"),
-    # flagged free-running-like
+     "95c17480e841d271afbcb83cc7edab2172ed029035d199e89a251e5b1e9760c1"),
+    # flagged free-running-like, the corner at the box edge
     (["fit", "--points", "wiener.csv", "--k", "1"],
-     "9f02a166e1897e75d5b893b41133371309a5f9d6dec10ac2c35a761bf43e898c"),
+     "96bf8a28e3a191841db240bf03aa54ec2d0d2076ec9a21fc89debe8f60aa6b0c"),
     # 7 unwrap flags at each Es/N0
     (["ber", "--pn", "dt", "--f3db", "0", "--l100-db", "-62", "--n-symbols", "20000",
       "--esn0-db", "10,20", "--seed", "3"],
