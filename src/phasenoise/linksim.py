@@ -16,8 +16,7 @@ bit-identical at any chunk size.
 
 Conventions: unit average symbol energy, symbol period normalized inside
 the signal chain, complex AWGN with total post-matched-filter variance
-Es/N0^-1.  One run is single threaded and fully determined by its seed;
-sweeps parallelize across configurations only.
+Es/N0^-1.  One run is single threaded and fully determined by its seed.
 """
 
 from __future__ import annotations
@@ -47,44 +46,34 @@ class Constellation:
     """Gray-mapped constellation with unit average energy."""
 
     def __init__(self, name: str):
+        # per-axis levels, indexed by the axis's bits read as a binary number
         if name == "qpsk":
             self.bits_per_symbol = 2
             self._levels = np.array([1.0, -1.0]) / math.sqrt(2.0)  # bit 0 -> +, 1 -> -
         elif name == "qam16":
             self.bits_per_symbol = 4
-            # per-axis Gray map for bit pairs 00,01,11,10 -> -3,-1,+1,+3
-            self._axis = np.array([-3.0, -1.0, 3.0, 1.0]) / math.sqrt(10.0)
+            # Gray map for bit pairs 00,01,11,10 -> -3,-1,+1,+3
+            self._levels = np.array([-3.0, -1.0, 3.0, 1.0]) / math.sqrt(10.0)
         else:
             raise ValueError(f"unknown constellation {name!r}")
         self.name = name
 
     def map_bits(self, bits: np.ndarray) -> np.ndarray:
-        """bits shaped (n, bits_per_symbol) -> complex symbols."""
-        if self.name == "qpsk":
-            return self._levels[bits[:, 0]] + 1j * self._levels[bits[:, 1]]
-        i = self._axis[2 * bits[:, 0] + bits[:, 1]]
-        q = self._axis[2 * bits[:, 2] + bits[:, 3]]
-        return i + 1j * q
+        """bits (int or bool) shaped (n, bits_per_symbol) -> complex symbols."""
+        # the in-phase and quadrature levels side by side are the complex symbols
+        index = bits if self.name == "qpsk" else 2 * bits[:, 0::2] + bits[:, 1::2]
+        return self._levels.take(index).view(complex).ravel()
 
-    def _decide_axis(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # returns (b_high, b_low) for one axis of qam16
-        s = math.sqrt(10.0)
-        b_high = (v > 0).astype(np.int64)
-        b_low = (np.abs(v) < 2.0 / s).astype(np.int64)
-        return b_high, b_low
-
-    def decide(self, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Hard decisions: returns (bits (n, bps), decided complex symbols)."""
-        n = symbols.size
+    def decide(self, symbols: np.ndarray) -> np.ndarray:
+        """Hard (nearest-point) decisions: the bits, a bool (n, bps) array, of
+        the point nearest each symbol; the decided points are ``map_bits(bits)``."""
+        v = np.ascontiguousarray(symbols, dtype=complex).view(float).reshape(-1, 2)
         if self.name == "qpsk":
-            bits = np.empty((n, 2), dtype=np.int64)
-            bits[:, 0] = symbols.real < 0
-            bits[:, 1] = symbols.imag < 0
-            return bits, self.map_bits(bits)
-        bits = np.empty((n, 4), dtype=np.int64)
-        bits[:, 0], bits[:, 1] = self._decide_axis(symbols.real)
-        bits[:, 2], bits[:, 3] = self._decide_axis(symbols.imag)
-        return bits, self.map_bits(bits)
+            return v < 0
+        bits = np.empty((len(v), 4), dtype=bool)
+        np.greater(v, 0, out=bits[:, 0::2])
+        np.less(np.abs(v), 2.0 / math.sqrt(10.0), out=bits[:, 1::2])
+        return bits
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +313,9 @@ def _track(rx: np.ndarray, positions: np.ndarray, fields_rx: np.ndarray,
         centers, fp = np.concatenate(([prev[0]], centers)), np.concatenate(([prev[1]], phi))
     else:
         fp = phi
-    phase = np.interp(positions, centers, fp)
     # complex products are not bit-commutative, and numpy computes a large
     # ``rx * temporary`` in place as ``temporary * rx``; fix one order
-    out = np.exp(-1j * phase)
+    out = _phasor(-np.interp(positions, centers, fp))
     out *= rx
     return out, phi, flags
 
@@ -475,6 +463,14 @@ def _complex_awgn(rng: np.random.Generator, n: int, variance: float) -> np.ndarr
     return w
 
 
+def _phasor(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(j*theta), built in ``out`` (by default a new array) without a complex
+    ``1j*theta`` temporary, whose real part, +-0, has exp(+-0) = 1 exactly."""
+    out = np.empty(theta.shape, dtype=complex) if out is None else out
+    out.real, out.imag = 0.0, theta
+    return np.exp(out, out=out)
+
+
 @dataclass(frozen=True)
 class _TxChunk:
     """A run of whole frames of the transmit sequence.
@@ -531,7 +527,7 @@ def _symbol_rate(cfg: LinkConfig, chunks):
     awgn = _sub_rng(cfg.seed, _SEED_AWGN)
     esn0 = _esn0(cfg)
     for chunk in chunks:
-        g0 = np.exp(1j * pn.take(chunk.tx.size))
+        g0 = _phasor(pn.take(chunk.tx.size))
         y = chunk.tx * g0
         if esn0 is not None:
             y += _complex_awgn(awgn, chunk.tx.size, 1.0 / esn0)
@@ -612,7 +608,7 @@ class _Oversampled:
     def _impair(self, wave: np.ndarray, phasor: np.ndarray) -> None:
         """Apply the phasor (into ``phasor``) and the AWGN to ``wave`` in place."""
         if self.pn is not None:
-            np.exp(1j * self.pn.take(wave.size), out=phasor)
+            _phasor(self.pn.take(wave.size), out=phasor)
             wave *= phasor
         if self.variance is not None:
             wave += _complex_awgn(self.awgn, wave.size, self.variance)
@@ -701,9 +697,10 @@ def simulate_link(cfg: LinkConfig) -> LinkStats:
         terms["err"] = np.abs(y_info - x) ** 2
         terms["energy"] = np.abs(x) ** 2
         cells.add(ch.info_start, **terms)
-        bits_hat, syms_hat = const.decide(y_info)
-        n_err += int(np.sum(bits_hat != ch.bits))
-        n_sym_err += int(np.count_nonzero(np.abs(syms_hat - x) > 1e-9))
+        # a symbol is wrong when one of its bits is: read each row as one integer
+        wrong = const.decide(y_info) ^ ch.bits.astype(bool)
+        n_err += int(np.count_nonzero(wrong))
+        n_sym_err += int(np.count_nonzero(wrong.view(f"u{const.bits_per_symbol}")))
 
     esn0 = _esn0(cfg)
     sir_db, sir_se = _sir_from_cells(cells, 0.0 if esn0 is None else 1.0 / esn0)

@@ -35,6 +35,9 @@ def validate_points(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array of (freq_hz, level_db)")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise ValueError(f"point row {bad[0] + 1} is not finite: {pts[bad[0]].tolist()}")
     if np.any(pts[:, 0] <= 0):
         raise ValueError("point frequencies must be positive")
     if np.any(np.diff(pts[:, 0]) <= 0):

@@ -274,3 +274,26 @@ def oversampled_chain(seq: np.ndarray, taps: np.ndarray, osf: int, theta: np.nda
     g0_full = np.convolve(phasor, taps * taps / osf)
     peaks = (n_pad + np.arange(n_out)) * osf + taps.size - 1
     return y_full[peaks], g0_full[peaks]
+
+
+# Gray maps transcribed from the constellation definitions: per axis, the
+# QPSK bit 0/1 -> +1/-1, and the 16-QAM bit pairs 00,01,11,10 -> -3,-1,+1,+3
+_AXIS_LEVELS = {
+    "qpsk": {(0,): 1.0 / math.sqrt(2.0), (1,): -1.0 / math.sqrt(2.0)},
+    "qam16": {(0, 0): -3.0 / math.sqrt(10.0), (0, 1): -1.0 / math.sqrt(10.0),
+              (1, 1): 1.0 / math.sqrt(10.0), (1, 0): 3.0 / math.sqrt(10.0)},
+}
+
+
+def constellation_table(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every (bits, point) pair of a constellation: (2**bps, bps) int bits, the
+    first half of each row on the in-phase axis, and the complex points."""
+    levels = _AXIS_LEVELS[name].items()
+    pairs = [(b_i + b_q, complex(l_i, l_q)) for b_i, l_i in levels for b_q, l_q in levels]
+    return np.array([b for b, _ in pairs]), np.array([p for _, p in pairs])
+
+
+def nearest_point_bits(name: str, y: np.ndarray) -> np.ndarray:
+    """Bits of the constellation point nearest each of ``y``, by exhaustive search."""
+    bits, points = constellation_table(name)
+    return bits[np.argmin(np.abs(y[:, None] - points[None, :]), axis=1)]

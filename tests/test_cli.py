@@ -407,6 +407,21 @@ class TestFit:
         assert payload["residual_rms_db"] < 0.1
         assert payload["params"][0]["f3db"] == pytest.approx(2e3, rel=0.5)
 
+    @pytest.mark.parametrize("row, text", [
+        (2, "nan,-90.0"), (3, "1000.0,nan"), (4, "10000.0,-inf")],
+        ids=["nan_frequency", "nan_level", "inf_level"])
+    def test_non_finite_point_names_its_row(self, capsys, tmp_path, row, text):
+        lines = ["freq_hz,level_db", "10.0,-80.0", "100.0,-90.0", "1000.0,-100.0",
+                 "10000.0,-110.0", "100000.0,-120.0"]
+        lines[row] = text
+        path = tmp_path / "pts.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"point row {row} is not finite"):
+            load_points(path)
+        code, _, err = run_capture(capsys, ["fit", "--points", str(path), "--k", "1"])
+        assert code == 1
+        assert f"point row {row} is not finite" in err and "Traceback" not in err
+
     def test_json_format_output(self, capsys):
         code, out, _ = run_capture(capsys, [
             "errors", "--sweep-rho", "1e-4:1e-2:3", "--format", "json"])
@@ -438,11 +453,19 @@ class TestFit:
      "96990ceae2565f9445a23859181cf0149b708b9d44fbdf361baeab1b21bf1ee5"),
     (["ber", "--pn", "none", "--n-symbols", "20000", "--esn0-db", "6", "--seed", "5"],
      "7acebdd4b29a907ad577b051030367e755179c233760a0b69ebf4235ecaa56bb"),
+    # 16-QAM over three 65536-symbol chunks
+    (["ber", "--constellation", "qam16", "--pn", "dt", "--f3db", "1000", "--l100-db", "-90",
+      "--linf-db", "-120", "--n-symbols", "150000", "--esn0-db", "12,16", "--seed", "6"],
+     "4cddbeb824d9423daa29d43f63e49b91ce2da813241e1edc10450c55d4cfa655"),
+    (["ber", "--constellation", "qam16", "--pn", "ct", "--f3db", "1000", "--l100-db", "-90",
+      "--linf-db", "-120", "--n-symbols", "150000", "--esn0-db", "12,16", "--seed", "6"],
+     "6bcba214cf501f55d65efe3817e986987c007d10ce191072390223b5e4af92e9"),
     # a random walk: the estimate is flagged nonstationary
     (["validate", "--f3db", "0", "--l100-db", "-100", "--ts", "1e-7", "--n", "65536"],
      "b4b872206d9c207b7ea2129652389fe8076a51aadd7f8a3ede0aceec197e4000"),
 ], ids=["errors_sweep", "errors_alias", "psd_phasor", "fit_k2", "fit_k1_free_running",
-        "ber_dt_unwrap", "ber_ct", "ber_none", "validate_nonstationary"])
+        "ber_dt_unwrap", "ber_ct", "ber_none", "ber_qam16_dt", "ber_qam16_ct",
+        "validate_nonstationary"])
 def test_stdout_bytes_pinned(capsys, tmp_path, monkeypatch, argv, digest):
     # SHA-256 of the whole stdout, header included; the fits read the
     # satellite curve (10 Hz, -88 dB, -114 dB floor) and a pure -20 dB/dec

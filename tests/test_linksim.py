@@ -168,9 +168,58 @@ class TestConstellations:
         bits = rng.integers(0, 2, (4096, c.bits_per_symbol))
         syms = c.map_bits(bits)
         assert np.mean(np.abs(syms) ** 2) == pytest.approx(1.0, abs=0.05)
-        back, dec = c.decide(syms)
+        back = c.decide(syms)
+        assert back.dtype == bool
         assert np.array_equal(back, bits)
-        assert np.allclose(dec, syms)
+        assert np.array_equal(c.map_bits(back), syms)
+
+    @pytest.mark.parametrize("name", ["qpsk", "qam16"])
+    def test_map_bits_matches_oracle_table(self, name):
+        bits, points = oracles.constellation_table(name)
+        assert np.array_equal(Constellation(name).map_bits(bits), points)
+
+    @pytest.mark.parametrize("name", ["qpsk", "qam16"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decide_is_nearest_point(self, name, seed):
+        # noisy points and a uniform spread beyond the outer points
+        c = Constellation(name)
+        rng = np.random.default_rng(seed)
+        n = 20_000
+        bits = rng.integers(0, 2, (n, c.bits_per_symbol))
+        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        y = np.concatenate([c.map_bits(bits) + 0.3 * noise,
+                            rng.uniform(-1.6, 1.6, n) + 1j * rng.uniform(-1.6, 1.6, n)])
+        assert np.array_equal(c.decide(y), oracles.nearest_point_bits(name, y))
+
+    @pytest.mark.parametrize("name, mode, esn0_db", [
+        ("qpsk", "ct", 4.0), ("qpsk", "dt", 4.0), ("qam16", "dt", 12.0),
+        ("qam16", "ct", 12.0), ("qam16", "none", 10.0)])
+    def test_link_error_counts_match_oracle(self, monkeypatch, name, mode, esn0_db):
+        # the transmitted bits and the decided samples of a short run,
+        # several chunks long, recounted with nearest-point decisions
+        sent, decided = [], []
+        tx_chunks, decide = linksim._tx_chunks, Constellation.decide
+
+        def recorded_chunks(*args):
+            for ch in tx_chunks(*args):
+                sent.append(ch.bits)
+                yield ch
+
+        def recorded_decide(self, y):
+            decided.append(y.copy())
+            return decide(self, y)
+
+        monkeypatch.setattr(linksim, "CHUNK_SYMBOLS", 4096)
+        monkeypatch.setattr(linksim, "_tx_chunks", recorded_chunks)
+        monkeypatch.setattr(Constellation, "decide", recorded_decide)
+        cfg = LinkConfig(constellation=name, n_symbols=12_000, pn_mode=mode,
+                         pn_model=None if mode == "none" else
+                         OscillatorParams.from_db(1e3, -90.0, -120.0),
+                         esn0_db=esn0_db, pilot_period=1000, seed=4)
+        stats = simulate_link(cfg)
+        wrong = oracles.nearest_point_bits(name, np.concatenate(decided)) != np.concatenate(sent)
+        assert stats.n_errors == np.count_nonzero(wrong) > 0
+        assert stats.ser == np.count_nonzero(wrong.any(axis=1)) / cfg.n_symbols
 
     def test_gray_neighbours_differ_by_one_bit(self):
         # a small rotation never flips more than one bit per axis
