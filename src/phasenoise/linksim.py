@@ -10,8 +10,13 @@ osf in the frequency domain; the decimating filters compute only the
 symbol instants the link consumes.  The blocks lie on a fixed grid of
 absolute positions, and their cost is nearly flat in the filter span.
 
-A run streams in chunks of whole pilot frames (``CHUNK_SYMBOLS``), so its
-memory does not grow with ``n_symbols``; the statistics are
+A run streams in chunks of at most ``CHUNK_SYMBOLS`` transmitted symbols,
+made of whole pieces: stretches of an information run cut every
+``_PIECE`` symbols from the run's start.  Measurements that need no
+tracking are summed as each chunk arrives; until a piece's closing
+pilot field arrives, only its received samples and bits are held.  So
+memory does not grow with ``n_symbols``, and with the pilot period only
+by those 16 + bits-per-symbol bytes per held symbol; the statistics are
 bit-identical at any chunk size.
 
 Conventions: unit average symbol energy, symbol period normalized inside
@@ -259,65 +264,62 @@ class PilotLayout:
         return (self.field_starts[:, None] + np.arange(self.pilot_len)[None, :]).ravel()
 
 
-def _frames(n_info: int, pilot_len: int, period: int, f0: int, f1: int):
-    """Layout of frames f0..f1-1, each an information run of up to
-    ``period`` symbols followed by a pilot field; frame 0 is preceded by
-    the opening field.  Returns (field starts, information positions,
-    length), positions counted from the start of frame f0."""
-    runs = np.minimum(period, n_info - period * np.arange(f0, f1))
-    lead = pilot_len if f0 == 0 else 0
-    run_starts = lead + np.concatenate(([0], np.cumsum(runs + pilot_len)[:-1]))
-    fields = run_starts + runs if pilot_len else np.empty(0, dtype=np.int64)
+def _layout(starts: np.ndarray, ends: np.ndarray, closes: np.ndarray, pilot_len: int):
+    """Transmit layout of the consecutive pieces [starts[i], ends[i]) of the
+    information symbols: a piece is followed by a pilot field where
+    ``closes``, and the piece at 0 is preceded by the opening field.
+    Returns (field starts, information positions, length), positions
+    counted from the start of the first piece."""
+    lengths = ends - starts + pilot_len * closes
+    lead = pilot_len if starts[0] == 0 else 0
+    info_starts = lead + np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    fields = (info_starts + ends - starts)[closes]
     if lead:
         fields = np.concatenate(([0], fields))
-    is_info = np.ones(lead + int(np.sum(runs + pilot_len)), dtype=bool)
+    is_info = np.ones(lead + int(np.sum(lengths)), dtype=bool)
     is_info[(fields[:, None] + np.arange(pilot_len)[None, :]).ravel()] = False
     return fields, np.flatnonzero(is_info), is_info.size
 
 
-def _n_frames(n_info: int, period: int) -> int:
-    return max(1, -(-n_info // period))
-
-
 def build_pilot_layout(n_info: int, pilot_len: int, pilot_period: int) -> PilotLayout:
-    fields, info, n_tx = _frames(n_info, pilot_len, pilot_period, 0,
-                                 _n_frames(n_info, pilot_period))
+    starts = np.arange(0, max(n_info, 1), pilot_period)
+    fields, info, n_tx = _layout(starts, np.minimum(starts + pilot_period, n_info),
+                                 np.full(starts.size, pilot_len > 0), pilot_len)
     return PilotLayout(pilot_len, pilot_period, n_info, fields, info, n_tx)
 
 
-def _unwrap_fields(fields_rx: np.ndarray, pilots: np.ndarray,
-                   phi_prev: float | None) -> tuple[np.ndarray, int]:
-    """Per-field (row) ML phase estimates, unwrapped onward from ``phi_prev``."""
-    conj_pilots = np.conj(pilots)  # named: see _track on operand order
+def _field_phases(fields_rx: np.ndarray, pilots: np.ndarray, centers: np.ndarray,
+                  prev: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per-field (row) ML phase estimates at ``centers``, unwrapped onward
+    from ``prev``, the (center, phase) of the field before them, or None
+    at the start of the sequence.  Returns (centers, phases, count of
+    jumps above pi/2), with ``prev`` leading the first two."""
+    conj_pilots = np.conj(pilots)  # named: see _derotate on operand order
     raw = np.angle(np.sum(fields_rx * conj_pilots, axis=1))
     phi = np.empty_like(raw)
     flags = 0
-    last = raw[0] if phi_prev is None else phi_prev
+    last = raw[0] if prev is None else prev[1]
     for i, r in enumerate(raw):
         step = r - last
         step -= 2.0 * math.pi * round(step / (2.0 * math.pi))
         if abs(step) > math.pi / 2.0:
             flags += 1
         last = phi[i] = last + step
-    return phi, flags
+    if prev is None:
+        return centers, phi, flags
+    return np.concatenate(([prev[0]], centers)), np.concatenate(([prev[1]], phi)), flags
 
 
-def _track(rx: np.ndarray, positions: np.ndarray, fields_rx: np.ndarray,
-           pilots: np.ndarray, centers: np.ndarray,
-           prev: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray, int]:
-    """Derotate ``rx`` (at absolute ``positions``) by the phase interpolated
-    between pilot-field estimates; ``prev`` is the (center, phase) of the
-    field before ``fields_rx``, or None at the start of the sequence."""
-    phi, flags = _unwrap_fields(fields_rx, pilots, None if prev is None else prev[1])
-    if prev is not None:
-        centers, fp = np.concatenate(([prev[0]], centers)), np.concatenate(([prev[1]], phi))
-    else:
-        fp = phi
+def _derotate(rx: np.ndarray, positions: np.ndarray, centers: np.ndarray,
+              phases: np.ndarray) -> np.ndarray:
+    """``rx`` (at absolute ``positions``) derotated by the phase interpolated
+    between the field estimates ``phases`` at ``centers``.  Each symbol's
+    phase depends only on the two fields around it."""
     # complex products are not bit-commutative, and numpy computes a large
     # ``rx * temporary`` in place as ``temporary * rx``; fix one order
-    out = _phasor(-np.interp(positions, centers, fp))
+    out = _phasor(-np.interp(positions, centers, phases))
     out *= rx
-    return out, phi, flags
+    return out
 
 
 def pilot_phase_track(rx: np.ndarray, layout: PilotLayout,
@@ -335,8 +337,8 @@ def pilot_phase_track(rx: np.ndarray, layout: PilotLayout,
         return rx, np.empty(0), 0
     idx = layout.field_starts[:, None] + np.arange(layout.pilot_len)[None, :]
     pil = pilot_symbols.reshape(layout.n_fields, layout.pilot_len)
-    return _track(rx, np.arange(layout.n_tx, dtype=float), rx[idx], pil,
-                  layout.centers, None)
+    centers, phases, flags = _field_phases(rx[idx], pil, layout.centers, None)
+    return _derotate(rx, np.arange(layout.n_tx, dtype=float), centers, phases), phases, flags
 
 
 # ---------------------------------------------------------------------------
@@ -350,31 +352,33 @@ _SIR_MIN_SYMBOLS = 10_000
 class _CellSums:
     """Sums over a fixed grid of cells of information symbols.
 
-    A cell ends at every frame edge and at every edge of the 16 blocks
-    behind the SIR standard error.  Chunks are whole frames, so each
-    cell's partial sum is formed from the same values in the same order
-    at any chunk size, and the totals, summed once from the cell
-    partials, are bit-identical too.
+    A cell ends at every piece edge (``_piece_starts`` of information runs
+    of ``run`` symbols) and at every edge of the 16 blocks behind the SIR
+    standard error.  Each ``add`` covers whole cells and each term is
+    added in symbol order, so each cell's partial sum is formed from the
+    same values in the same order however the run is chunked, and the
+    totals, summed once from the cell partials, are bit-identical too.
     """
 
-    def __init__(self, n: int, frame: int | None = None):
+    def __init__(self, n: int, run: int | None = None):
         self.n = n
         self.m = n // _SE_BLOCKS  # SE block length
-        self.frame = frame
-        self.starts: list[np.ndarray] = []
+        self.run = run
         self.parts: dict[str, list[np.ndarray]] = {}
 
-    def add(self, lo: int, **terms: np.ndarray) -> None:
-        """Add per-symbol ``terms`` of the information symbols lo, lo+1, ..."""
-        hi = lo + len(next(iter(terms.values())))
+    def _starts(self, lo: int, hi: int) -> np.ndarray:
+        """Starts of the cells in [lo, hi); a cell starts at lo."""
         edges = [np.array([lo])]
-        if self.frame:
-            edges.append(np.arange(lo + self.frame, hi, self.frame))
+        if self.run:
+            edges.append(_piece_starts(lo, hi, self.run))
         if self.m:
             se = self.m * np.arange(1, _SE_BLOCKS + 1)
             edges.append(se[(se > lo) & (se < hi)])
-        local = np.unique(np.concatenate(edges)) - lo
-        self.starts.append(lo + local)
+        return np.unique(np.concatenate(edges))
+
+    def add(self, lo: int, **terms: np.ndarray) -> None:
+        """Add per-symbol ``terms`` of the information symbols lo, lo+1, ..."""
+        local = self._starts(lo, lo + len(next(iter(terms.values())))) - lo
         for name, v in terms.items():
             self.parts.setdefault(name, []).append(np.add.reduceat(v, local))
 
@@ -386,7 +390,7 @@ class _CellSums:
 
     def blocks(self, per_cell: np.ndarray) -> list[float]:
         """Sums of ``per_cell`` over each SE block."""
-        cut = np.searchsorted(np.concatenate(self.starts), self.m * np.arange(_SE_BLOCKS + 1))
+        cut = np.searchsorted(self._starts(0, self.n), self.m * np.arange(_SE_BLOCKS + 1))
         return [float(np.sum(per_cell[a:b])) for a, b in zip(cut[:-1], cut[1:])]
 
 
@@ -441,10 +445,10 @@ def measure_sir(tx_symbols: np.ndarray, rx_symbols: np.ndarray) -> tuple[float, 
 # the simulator: the transmit sequence is drawn, sent through the channel
 # and measured chunk by chunk
 
-# transmitted symbols per chunk, rounded down to whole frames (at least one)
-CHUNK_SYMBOLS = 1 << 16
-# information symbols per frame when there are no pilots
-_PLAIN_FRAME = 4096
+# transmitted symbols per chunk, rounded down to whole pieces (at least one)
+CHUNK_SYMBOLS = 1 << 14
+# information runs are cut into pieces every _PIECE symbols from their start
+_PIECE = 4096
 # real symbols per block of the oversampled chain's FFT filters
 _BLOCK = 2048
 
@@ -473,51 +477,63 @@ def _phasor(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _TxChunk:
-    """A run of whole frames of the transmit sequence.
+    """Whole pieces of the transmit sequence, at most ``CHUNK_SYMBOLS``
+    symbols unless one piece with its field is longer.
 
-    A frame is an information run followed by a pilot field (the first
-    chunk also holds the opening field), so every information symbol of
-    a chunk lies between two fields of the same chunk, or of the same
-    chunk and the last field of the one before.
+    A piece is a stretch of an information run, cut every ``_PIECE``
+    symbols from the run's start; a piece that ends its run is followed
+    by the run's closing pilot field, and the first chunk also holds the
+    opening field.  The information symbols after a chunk's last field
+    wait for a field of a later chunk.
     """
 
     start: int            # sequence position of tx[0]
     info_start: int       # index of the first information symbol
     tx: np.ndarray
     info: np.ndarray      # positions of the information symbols in tx
-    bits: np.ndarray
+    bits: np.ndarray      # bool (information symbols, bits per symbol)
     syms: np.ndarray
     fields: np.ndarray    # positions of the pilot-field starts in tx
     pilots: np.ndarray    # (fields, pilot_len) pilot symbols
 
 
-def _frame_len(cfg: LinkConfig) -> int:
-    """Information symbols per frame."""
-    return cfg.pilot_period if cfg.pilot_len else _PLAIN_FRAME
+def _piece_starts(lo: int, hi: int, run: int) -> np.ndarray:
+    """Information indices in [lo, hi) at which a piece starts: the start
+    of each information run of ``run`` symbols, and every ``_PIECE``-th
+    symbol after it in the run."""
+    return np.concatenate([
+        np.arange(r + -(-max(lo - r, 0) // _PIECE) * _PIECE, min(r + run, hi), _PIECE)
+        for r in range(lo - lo % run, hi, run)])
 
 
 def _tx_chunks(cfg: LinkConfig, const: Constellation):
     """Draw the transmit sequence chunk by chunk, in the layout of
-    ``build_pilot_layout`` and in the draw order of one whole-run draw."""
+    ``build_pilot_layout`` and in the draw order of one whole-run draw.
+    Without pilots the information symbols are one run."""
     bits_rng = _sub_rng(cfg.seed, _SEED_BITS)
     pilot_rng = _sub_rng(cfg.seed, _SEED_PILOTS)
     qpsk = Constellation("qpsk")
-    plen, period, n = cfg.pilot_len, _frame_len(cfg), cfg.n_symbols
-    n_frames = _n_frames(n, period)
-    per_chunk = max(1, CHUNK_SYMBOLS // (period + plen))
-    start = 0
-    for f0 in range(0, n_frames, per_chunk):
-        fields, info, size = _frames(n, plen, period, f0, min(f0 + per_chunk, n_frames))
+    plen, n = cfg.pilot_len, cfg.n_symbols
+    run = cfg.pilot_period if plen else n
+    start = lo = 0
+    while lo < n:
+        # the pieces that may fit, and the transmitted length up to each
+        s = _piece_starts(lo, min(n, lo + CHUNK_SYMBOLS), run)
+        e = np.minimum(np.minimum(s + _PIECE, s - s % run + run), n)
+        closes = ((e % run == 0) | (e == n)) & (plen > 0)
+        tx_len = np.cumsum(e - s + plen * closes) + (plen if lo == 0 else 0)
+        m = max(1, int(np.searchsorted(tx_len, CHUNK_SYMBOLS, side="right")))
+        fields, info, size = _layout(s[:m], e[:m], closes[:m], plen)
         field_idx = fields[:, None] + np.arange(plen)[None, :]
-        bits = bits_rng.integers(0, 2, (info.size, const.bits_per_symbol))
-        syms = const.map_bits(bits)
+        drawn = bits_rng.integers(0, 2, (info.size, const.bits_per_symbol))
+        syms = const.map_bits(drawn)
         tx = np.empty(size, dtype=complex)
         tx[info] = syms
         pilots = qpsk.map_bits(pilot_rng.integers(0, 2, (field_idx.size, 2)))
         tx[field_idx.ravel()] = pilots
-        yield _TxChunk(start, f0 * period, tx, info, bits, syms, fields,
+        yield _TxChunk(start, lo, tx, info, drawn.astype(bool), syms, fields,
                        pilots.reshape(field_idx.shape))
-        start += tx.size
+        start, lo = start + tx.size, int(e[m - 1])
 
 
 def _symbol_rate(cfg: LinkConfig, chunks):
@@ -678,29 +694,47 @@ def simulate_link(cfg: LinkConfig) -> LinkStats:
     """Run one deterministic link simulation and measure its statistics."""
     const = Constellation(cfg.constellation)
     n, plen = cfg.n_symbols, cfg.pilot_len
-    cells = _CellSums(n, _frame_len(cfg))
+    cells = _CellSums(n, cfg.pilot_period if plen else n)
     prev = None  # (center, unwrapped phase) of the last pilot field
+    # (position, information index, y, bits) of pieces awaiting their closing field
+    held = []
     unwrap_flags = n_err = n_sym_err = 0
-    for ch, y, g0 in _received(cfg, const):
-        x = ch.syms
-        y_info, g0_info = y[ch.info], g0[ch.info]
-        # SIR on the untracked matched-filter output
-        terms = _sir_terms(x, y_info, g0_info)
-        terms["gain"] = np.abs(g0_info) ** 2
-        if plen:
-            field_idx = ch.fields[:, None] + np.arange(plen)[None, :]
-            centers = ch.start + ch.fields + (plen - 1) / 2.0
-            y_info, phi, flags = _track(y_info, (ch.start + ch.info).astype(float),
-                                        y[field_idx], ch.pilots, centers, prev)
-            prev = (centers[-1], phi[-1])
-            unwrap_flags += flags
-        terms["err"] = np.abs(y_info - x) ** 2
-        terms["energy"] = np.abs(x) ** 2
-        cells.add(ch.info_start, **terms)
+
+    def settle(lo, y, bits, x):
+        # decisions and tracked error of whole pieces from information symbol lo
+        nonlocal n_err, n_sym_err
+        cells.add(lo, err=np.abs(y - x) ** 2)
         # a symbol is wrong when one of its bits is: read each row as one integer
-        wrong = const.decide(y_info) ^ ch.bits.astype(bool)
+        wrong = const.decide(y) ^ bits
         n_err += int(np.count_nonzero(wrong))
         n_sym_err += int(np.count_nonzero(wrong.view(f"u{const.bits_per_symbol}")))
+
+    for ch, y, g0 in _received(cfg, const):
+        x, y_info, g0_info = ch.syms, y[ch.info], g0[ch.info]
+        # SIR on the untracked matched-filter output
+        cells.add(ch.info_start, **_sir_terms(x, y_info, g0_info),
+                  gain=np.abs(g0_info) ** 2, energy=np.abs(x) ** 2)
+        if not plen:
+            settle(ch.info_start, y_info, ch.bits, x)
+            continue
+        # information symbols before the chunk's last field
+        k = int(np.searchsorted(ch.info, ch.fields[-1])) if ch.fields.size else 0
+        if ch.fields.size:
+            centers, phases, flags = _field_phases(
+                y[ch.fields[:, None] + np.arange(plen)[None, :]], ch.pilots,
+                ch.start + ch.fields + (plen - 1) / 2.0, prev)
+            prev = (centers[-1], phases[-1])
+            unwrap_flags += flags
+            for p, lo, y_held, bits in held:  # closed by the chunk's first field
+                pos = np.arange(p, p + y_held.size, dtype=float)
+                settle(lo, _derotate(y_held, pos, centers, phases), bits, const.map_bits(bits))
+            held = []
+            if k:
+                pos = (ch.start + ch.info[:k]).astype(float)
+                settle(ch.info_start, _derotate(y_info[:k], pos, centers, phases),
+                       ch.bits[:k], x[:k])
+        if k < ch.info.size:
+            held.append((ch.start + ch.info[k], ch.info_start + k, y_info[k:], ch.bits[k:]))
 
     esn0 = _esn0(cfg)
     sir_db, sir_se = _sir_from_cells(cells, 0.0 if esn0 is None else 1.0 / esn0)

@@ -287,6 +287,21 @@ def test_gen_and_validate_memory_bounded_by_block(tmp_path):
         assert _child_max_rss_mb([cmd, *flags, "--n", str(2 ** 22), *out]) - base < 40.0, cmd
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_link_memory_bounded_for_long_pilot_periods(tmp_path):
+    # without a field the tracker must hold the received samples and bits
+    # of the whole run, and nothing else per symbol: within 48 B per
+    # symbol of the same run at the default period (one whole-run chunk
+    # peaks over 140 B per symbol higher)
+    n = 500_000
+    argv = ["ber", "--pn", "dt", "--constellation", "qam16", "--n-symbols", str(n),
+            "--esn0-db", "17", "--f3db", "5e3", "--l100-db", "-95", "--linf-db", "-130",
+            "--seed", "3", "-o", str(tmp_path / "ber.csv")]
+    base = _child_max_rss_mb(argv)
+    long_period = _child_max_rss_mb([*argv, "--pilot-period", str(10 * n)])
+    assert long_period - base < 48 * n / 2 ** 20
+
+
 # the scipy modules loaded after `import phasenoise`, after importing the
 # CLI and after one command (its stdout discarded), one JSON list a line
 _SCIPY_CHILD = ("import contextlib, io, json, sys\n"
@@ -453,7 +468,7 @@ class TestFit:
      "96990ceae2565f9445a23859181cf0149b708b9d44fbdf361baeab1b21bf1ee5"),
     (["ber", "--pn", "none", "--n-symbols", "20000", "--esn0-db", "6", "--seed", "5"],
      "7acebdd4b29a907ad577b051030367e755179c233760a0b69ebf4235ecaa56bb"),
-    # 16-QAM over three 65536-symbol chunks
+    # 16-QAM over 150,000 symbols: many CHUNK_SYMBOLS chunks
     (["ber", "--constellation", "qam16", "--pn", "dt", "--f3db", "1000", "--l100-db", "-90",
       "--linf-db", "-120", "--n-symbols", "150000", "--esn0-db", "12,16", "--seed", "6"],
      "4cddbeb824d9423daa29d43f63e49b91ce2da813241e1edc10450c55d4cfa655"),

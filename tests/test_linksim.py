@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 from scipy.special import erfc
@@ -482,30 +482,64 @@ class TestConfig:
 
 
 class TestChunking:
-    """A run streams in chunks of whole frames; the chunk size changes nothing."""
+    """A run streams in chunks of whole pieces; the chunk size changes nothing."""
 
-    @settings(max_examples=30, deadline=None)
+    # pieces of 64 symbols, so that pilot periods from below the piece
+    # length to beyond the run hold pieces across chunk edges
+    @settings(max_examples=40, deadline=None)
     @given(chunk=st.integers(1, 40_000),
            mode=st.sampled_from(["dt", "ct", "none"]),
            constellation=st.sampled_from(["qpsk", "qam16"]),
            pilots=st.one_of(st.just((0, 1476)),
-                            st.tuples(st.integers(1, 40), st.integers(41, 1500))),
+                            st.tuples(st.integers(1, 40), st.integers(41, 1500)),
+                            st.tuples(st.integers(1, 40), st.integers(41, 30_000))),
            esn0_db=st.sampled_from([None, 12.0]),
            osf=st.integers(2, 6),
            span=st.sampled_from([16, 17, 33]),
            n_symbols=st.integers(1, 25_000),
            seed=st.integers(0, 2 ** 32))
+    @example(chunk=300, mode="dt", constellation="qam16", pilots=(10, 30_000), esn0_db=12.0,
+             osf=2, span=16, n_symbols=20_000, seed=1)
+    @example(chunk=500, mode="ct", constellation="qpsk", pilots=(36, 5000), esn0_db=None,
+             osf=3, span=17, n_symbols=12_345, seed=2)
     def test_stats_equal_at_any_chunk_size(self, chunk, mode, constellation, pilots,
                                            esn0_db, osf, span, n_symbols, seed):
         cfg = LinkConfig(constellation=constellation, osf=osf, n_symbols=n_symbols,
                          pn_mode=mode, pn_model=None if mode == "none" else SAT,
                          esn0_db=esn0_db, pilot_len=pilots[0], pilot_period=pilots[1],
                          seed=seed, filter_span=span)
-        with mock.patch.object(linksim, "CHUNK_SYMBOLS", chunk):
-            chunked = simulate_link(cfg)
-        with mock.patch.object(linksim, "CHUNK_SYMBOLS", 10 ** 9):
-            whole = simulate_link(cfg)
+        with mock.patch.object(linksim, "_PIECE", 64):
+            with mock.patch.object(linksim, "CHUNK_SYMBOLS", chunk):
+                chunked = simulate_link(cfg)
+            with mock.patch.object(linksim, "CHUNK_SYMBOLS", 10 ** 9):
+                whole = simulate_link(cfg)
         assert chunked == whole
+
+    @settings(max_examples=40, deadline=None)
+    @given(pilots=st.one_of(st.just((0, 1476)),
+                            st.tuples(st.integers(1, 40), st.integers(41, 300_000))),
+           n_symbols=st.integers(1, 100_000),
+           seed=st.integers(0, 2 ** 32))
+    def test_chunks_are_bounded_pieces_of_the_whole_draw(self, pilots, n_symbols, seed):
+        # every chunk holds whole pieces and at most CHUNK_SYMBOLS symbols,
+        # and the chunks put together are the one-chunk draw
+        cfg = LinkConfig(constellation="qam16", n_symbols=n_symbols, pilot_len=pilots[0],
+                         pilot_period=pilots[1], seed=seed)
+        const = Constellation("qam16")
+        chunks = list(linksim._tx_chunks(cfg, const))
+        with mock.patch.object(linksim, "CHUNK_SYMBOLS", 10 ** 9):
+            (whole,) = linksim._tx_chunks(cfg, const)
+        assert max(ch.tx.size for ch in chunks) <= linksim.CHUNK_SYMBOLS
+        assert np.array_equal(np.concatenate([ch.tx for ch in chunks]), whole.tx)
+        assert np.array_equal(np.concatenate([ch.bits for ch in chunks]), whole.bits)
+        run = cfg.pilot_period if cfg.pilot_len else n_symbols
+        for ch in chunks:
+            assert ch.info_start in linksim._piece_starts(ch.info_start, n_symbols, run)
+            assert ch.start + ch.tx.size == whole.tx.size or \
+                ch.info_start + ch.info.size in linksim._piece_starts(0, n_symbols, run)
+        lay = build_pilot_layout(n_symbols, cfg.pilot_len, cfg.pilot_period)
+        assert np.array_equal(whole.fields, lay.field_starts)
+        assert np.array_equal(whole.info, lay.info_positions)
 
     @pytest.mark.parametrize("mode", ["dt", "ct"])
     def test_channel_output_bit_identical(self, monkeypatch, mode):
@@ -538,10 +572,10 @@ class TestChunking:
         for k in range(lay.n_fields - 1):  # info run k lies between fields k and k+1
             fields = [k, k + 1] if prev is None else [k + 1]
             pos = np.arange(lay.field_starts[k] + lay.pilot_len, lay.field_starts[k + 1])
-            out, phi, _ = linksim._track(rx[pos], pos.astype(float), rx[idx[fields]],
-                                         pil[fields], lay.centers[fields], prev)
-            prev = (lay.centers[k + 1], phi[-1])
-            pieces.append(out)
+            centers, phases, _ = linksim._field_phases(rx[idx[fields]], pil[fields],
+                                                       lay.centers[fields], prev)
+            prev = (centers[-1], phases[-1])
+            pieces.append(linksim._derotate(rx[pos], pos.astype(float), centers, phases))
         assert np.array_equal(np.concatenate(pieces), whole[lay.info_positions])
 
     @pytest.mark.parametrize("chunk", [1, 3 * 1512])
