@@ -142,12 +142,13 @@ def _model_meta(model: CompositeModel) -> str:
     return ";".join(
         f"f3db={p.f3db:g},l100_db={db(p.l100_sq):.6g}"
         + (f",linf_db={db(p.linf_sq):.6g}" if p.linf_sq > 0 else "")
+        + "".join(f",flag={f}" for f in p.flags)
         for p in model.processes)
 
 
 def _log_grid(fmin: float, fmax: float, n: int) -> np.ndarray:
-    if not (fmax >= fmin > 0):
-        raise ValueError("need 0 < fmin <= fmax")
+    if not 0 < fmin <= fmax < math.inf:
+        raise ValueError(f"need 0 < lo <= hi < inf, got {fmin!r}:{fmax!r}")
     return np.logspace(math.log10(fmin), math.log10(fmax), n)
 
 

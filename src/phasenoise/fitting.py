@@ -11,7 +11,6 @@ from deterministic slope-based starts.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,10 +146,8 @@ def _member_params(x: np.ndarray) -> tuple[OscillatorParams, ...]:
     """Members in corner order; the floor, if any, on the highest-corner member."""
     pairs = sorted(_pairs(x).tolist())
     floors = [0.0] * (len(pairs) - 1) + [undb(x[-1]) if len(x) % 2 else 0.0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a corner may exceed f_ref/10
-        return tuple(OscillatorParams(f3db=10.0 ** lg_f3, l100_sq=undb(l100_db), linf_sq=linf)
-                     for (lg_f3, l100_db), linf in zip(pairs, floors))
+    return tuple(OscillatorParams(f3db=10.0 ** lg_f3, l100_sq=undb(l100_db), linf_sq=linf)
+                 for (lg_f3, l100_db), linf in zip(pairs, floors))
 
 
 def fit_single(points) -> FitResult:

@@ -146,7 +146,7 @@ class LinkConfig:
         for name, kind in _NUMERIC_FIELDS.items():
             v = getattr(self, name)
             if not (_is_number(v, kind) or (name == "esn0_db" and v is None)):
-                what = "an integer" if kind is numbers.Integral else "a number"
+                what = "an integer" if kind is numbers.Integral else "a finite number"
                 raise ValueError(f"{name} must be {what}, got {v!r}")
         if self.constellation not in ("qpsk", "qam16"):
             raise ValueError(f"unknown constellation {self.constellation!r}")
@@ -186,7 +186,7 @@ class LinkConfig:
             members = [_json_fields(p, OscillatorParams, "pn_model member") for p in model]
             for p in members:
                 if not all(_is_number(v, numbers.Real) for v in p.values()):
-                    raise ValueError("pn_model member values must be numbers")
+                    raise ValueError("pn_model member values must be finite numbers")
             model = CompositeModel(tuple(OscillatorParams(**p) for p in members))
         return cls(pn_model=model, **d)
 
@@ -199,8 +199,9 @@ _NUMERIC_FIELDS = {
 }
 
 
-def _is_number(v, kind) -> bool:
-    return isinstance(v, kind) and not isinstance(v, bool)
+def _is_number(v, kind) -> bool:  # isfinite would overflow on a huge int
+    return (isinstance(v, kind) and not isinstance(v, bool)
+            and (kind is numbers.Integral or math.isfinite(v)))
 
 
 def _json_fields(obj, cls, what: str, extra: tuple = ()) -> dict:

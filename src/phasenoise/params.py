@@ -13,7 +13,6 @@ the high-frequency white floor.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 
@@ -43,6 +42,8 @@ class OscillatorParams:
     f_ref: float = 1e5
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.f3db, self.l100_sq, self.linf_sq, self.f_ref))):
+            raise ValueError(f"oscillator parameters must be finite, got {self}")
         if not self.l100_sq > 0:
             raise ValueError(f"l100_sq must be > 0, got {self.l100_sq}")
         if self.linf_sq < 0:
@@ -51,15 +52,12 @@ class OscillatorParams:
             raise ValueError(f"f3db must be >= 0, got {self.f3db}")
         if not self.f_ref > 0:
             raise ValueError(f"f_ref must be > 0, got {self.f_ref}")
-        if self.f3db > self.f_ref / 10.0:
-            # the l100_sq parametrization assumes the corner sits well
-            # below the calibration offset
-            warnings.warn(
-                f"f3db={self.f3db:g} Hz is not small compared to the "
-                f"calibration offset f_ref={self.f_ref:g} Hz; the level "
-                "parametrization loses accuracy",
-                stacklevel=3,  # past the dataclass __init__
-            )
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """``("corner-above-f_ref/10",)`` when f3db > f_ref/10, where the
+        l100_sq parametrization loses accuracy; else ``()``."""
+        return ("corner-above-f_ref/10",) if self.f3db > self.f_ref / 10.0 else ()
 
     @classmethod
     def from_db(cls, f3db: float, l100_db: float, linf_db: float | None = None,

@@ -23,14 +23,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .params import OscillatorParams, as_composite
 
-# f3db*Ts validity limits of the AR parametrization
+# f3db*Ts limits of the AR parametrization: flagged above WARN, refused above MAX
 F3DB_TS_WARN = 0.01
 F3DB_TS_MAX = 0.1
 
@@ -53,6 +52,11 @@ class ArCoefficients:
             raise ValueError(f"sigma_u_sq must be >= 0, got {self.sigma_u_sq}")
         if self.a == 1.0 and self.stationary:
             raise ValueError("a=1 is the nonstationary random-walk mode")
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """``("f3db*ts-above-0.01",)`` if the pole puts f3db*ts above F3DB_TS_WARN."""
+        return ("f3db*ts-above-0.01",) if self.a < math.exp(-2 * math.pi * F3DB_TS_WARN) else ()
 
     @property
     def stationary_variance(self) -> float:
@@ -99,7 +103,7 @@ def member_seed(master_seed: int, index: int) -> int:
 def ar_coefficients(params: OscillatorParams, ts: float) -> ArCoefficients:
     """AR(1) pole and innovation variance for sampling period ts.
 
-    Valid for f3db*ts << 1: warns above 0.01 and refuses above 0.1.
+    Valid for f3db*ts << 1: flagged above 0.01 (``flags``), refused above 0.1.
     The implied stationary variance equals pi*amp/f3db exactly.
     """
     if params.f3db == 0.0:
@@ -110,9 +114,6 @@ def ar_coefficients(params: OscillatorParams, ts: float) -> ArCoefficients:
     if prod > F3DB_TS_MAX:
         raise ValueError(f"f3db*ts = {prod:g} outside the model validity range "
                          f"(needs <= {F3DB_TS_MAX})")
-    if prod > F3DB_TS_WARN:
-        warnings.warn(f"f3db*ts = {prod:g} stretches the model validity "
-                      f"(recommended <= {F3DB_TS_WARN})", stacklevel=2)
     a = math.exp(-2.0 * math.pi * prod)
     sigma_u_sq = (math.pi * params.amp / params.f3db) * (-math.expm1(-4.0 * math.pi * prod))
     return ArCoefficients(a=a, sigma_u_sq=sigma_u_sq, ts=ts, stationary=a < 1.0)
@@ -161,8 +162,8 @@ class _WienerSource:
     """
 
     def __init__(self, sigma_u_sq: float, seed: int):
-        if sigma_u_sq < 0:
-            raise ValueError("sigma_u_sq must be >= 0")
+        if not 0.0 <= sigma_u_sq < math.inf:
+            raise ValueError(f"sigma_u_sq must be finite and >= 0, got {sigma_u_sq}")
         self.sd = math.sqrt(sigma_u_sq)
         self.rng = np.random.default_rng(seed)
         self.total = None

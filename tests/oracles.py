@@ -6,25 +6,12 @@ are computed by adaptive quadrature or plain sums.
 """
 
 import math
-import warnings
 
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
 mp.mp.dps = 50
-
-
-def quiet_params_from_db(f3db, l100_db, linf_db=None, f_ref=1e5):
-    """Construct params suppressing the corner-vs-reference validity warning.
-
-    Needed for catalogued parameter sets whose corner exceeds f_ref/10
-    (e.g. the 2 MHz high-frequency process of the cellular model fit).
-    """
-    from phasenoise import OscillatorParams
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return OscillatorParams.from_db(f3db, l100_db, linf_db, f_ref=f_ref)
 
 
 # ---------------------------------------------------------------------------

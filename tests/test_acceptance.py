@@ -258,8 +258,8 @@ def test_criterion_8_cellular_model_fit():
     corners = sorted(p.f3db for p in result.params)
     rms_ok = result.residual_rms_db < 3.0
     corner_ok = 2e5 <= corners[1] <= 2e7
-    cat_model = CompositeModel((oracles.quiet_params_from_db(7e2, -105.0, -200.0),
-                                oracles.quiet_params_from_db(2e6, -65.0, -140.0)))
+    cat_model = CompositeModel((OscillatorParams.from_db(7e2, -105.0, -200.0),
+                                OscillatorParams.from_db(2e6, -65.0, -140.0)))
     model_dev = db(composite_psd(result.model, band)) - db(composite_psd(cat_model, band))
     model_rms = float(np.sqrt(np.mean(model_dev ** 2)))
     model_ok = model_rms < 3.0

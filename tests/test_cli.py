@@ -155,13 +155,55 @@ class TestPsd:
         assert len(lines) == 5
 
     def test_composite_flag(self, capsys):
-        # a 2 MHz corner above f_ref/10 raises the validity warning by design
-        with pytest.warns(UserWarning, match="f_ref"):
-            code, out, _ = run_capture(capsys, [
-                "psd", "--process", "7e2,-105,-200", "--process", "2e6,-65,-140",
-                "--fmin", "1e3", "--fmax", "1e9", "--n", "10"])
+        # the 2 MHz corner lies above f_ref/10: its model entry carries the flag
+        code, out, err = run_capture(capsys, [
+            "psd", "--process", "7e2,-105,-200", "--process", "2e6,-65,-140",
+            "--fmin", "1e3", "--fmax", "1e9", "--n", "10"])
         assert code == 0
+        assert err == ""
+        assert out.splitlines()[0] == ("# model=f3db=700,l100_db=-105,linf_db=-200;"
+                                       "f3db=2e+06,l100_db=-65,linf_db=-140,"
+                                       "flag=corner-above-f_ref/10")
         assert len(data_section(out).splitlines()) == 11
+
+
+@pytest.mark.parametrize("argv", [
+    ["psd"], ["autocorr"], ["gen", "--ts", "1e-7", "--n", "8"],
+    ["validate", "--ts", "1e-7", "--n", "4096", "--segment-len", "1024"],
+    ["ber", "--pn", "dt", "--n-symbols", "2000", "--esn0-db", "10"]])
+def test_every_model_header_flags_a_high_corner(capsys, argv):
+    code, out, err = run_capture(capsys, [*argv, "--f3db", "2e4", "--l100-db", "-88"])
+    assert code == 0
+    assert err == ""
+    assert "# model=f3db=20000,l100_db=-88,flag=corner-above-f_ref/10" in out.splitlines()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, names", [
+    (["psd", "--f3db", "nan", "--l100-db", "-88"], "f3db=nan"),
+    (["psd", "--f3db", "10", "--l100-db", "inf"], "l100_sq=inf"),
+    (["psd", "--f3db", "10", "--l100-db", "-88", "--linf-db", "inf"], "linf_sq=inf"),
+    (["psd", "--f3db", "10", "--l100-db", "-88", "--f-ref", "inf"], "f_ref=inf"),
+    (["ber", "--esn0-db", "nan"], "esn0_db must be a finite number, got nan"),
+    (["ber", "--esn0-db=-inf"], "esn0_db must be a finite number, got -inf"),
+    (["ber", "--ts", "inf", "--esn0-db", "8"], "ts must be a finite number, got inf"),
+    (["ber", "--config", "CONFIG", "--esn0-db", "8"], "ts must be a finite number, got inf"),
+    (["gen", "--f3db", "0", "--l100-db", "-88", "--ts", "inf", "--n", "3"],
+     "sigma_u_sq must be finite and >= 0, got inf"),
+    (["gen", "--f3db", "0", "--l100-db", "-88", "--ts", "1e308", "--n", "3"],
+     "sigma_u_sq must be finite and >= 0, got inf"),
+    (["autocorr", "--f3db", "10", "--l100-db", "-88", "--tau-max", "inf"],
+     "need 0 < lo <= hi < inf, got 1e-09:inf"),
+    (["errors", "--sweep-rho", "1e-4:inf:3"], "need 0 < lo <= hi < inf, got 0.0001:inf")])
+def test_non_finite_argument_is_one_error_line(capsys, tmp_path, argv, names):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"ts": Infinity, "n_symbols": 2000}')
+    code, out, err = run_capture(capsys, [str(config) if a == "CONFIG" else a for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("phasenoise: error: ")
+    assert names in err
+    assert "Traceback" not in err and "Warning" not in err
 
 
 class TestGen:
@@ -622,7 +664,7 @@ def test_random_argv_never_tracebacks(tmp_path, capsys, subcommand, data, points
             str(tmp_path / "out") if a == "OUT" else a
             for a in data.draw(_argv(subcommand))]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", RuntimeWarning)  # e.g. psd --fmax 1e300 overflows
         code = run(argv)
     err = capsys.readouterr().err
     assert code in (0, 1, 2)

@@ -110,7 +110,7 @@ class TestFitComposite:
 
     def test_two_separated_processes_recovered(self):
         a = OscillatorParams.from_db(1e2, -100.0)
-        b = oracles.quiet_params_from_db(1e6, -70.0, -135.0)
+        b = OscillatorParams.from_db(1e6, -70.0, -135.0)
         pts = synth_points([a, b], np.logspace(0, 9, 100))
         r = fit_composite(pts, 2)
         assert r.residual_rms_db < 0.1
@@ -123,7 +123,7 @@ class TestFitComposite:
 
     def test_stage_residuals_non_increasing(self):
         a = OscillatorParams.from_db(1e2, -100.0)
-        b = oracles.quiet_params_from_db(1e6, -70.0, -135.0)
+        b = OscillatorParams.from_db(1e6, -70.0, -135.0)
         pts = synth_points([a, b], np.logspace(0, 9, 100))
         r = fit_composite(pts, 2)
         trail = r.stage_rms_db

@@ -468,6 +468,12 @@ class TestConfig:
             LinkConfig(osf="5")
         with pytest.raises(ValueError, match="number"):
             LinkConfig(rolloff=True)
+        for name, v in (("esn0_db", math.nan), ("esn0_db", -math.inf), ("ts", math.inf)):
+            with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+                LinkConfig(**{name: v})
+        with pytest.raises(ValueError, match="esn0_db must be a finite number"):
+            LinkConfig.from_json('{"esn0_db": NaN}')
+        assert LinkConfig(seed=2 ** 1100).seed == 2 ** 1100  # no isfinite on integers
 
     def test_determinism(self):
         cfg = LinkConfig(constellation="qpsk", rolloff=0.3, osf=5,

@@ -1,7 +1,6 @@
 """Closed-form spectrum models against hand values and quadrature oracles."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from phasenoise import (
     pn_psd,
     threegpp_psd,
 )
-from phasenoise import params
 from phasenoise.psd import PhasorPsdValue
 
 import oracles
@@ -62,9 +60,7 @@ class TestL0:
         assert l0_sq_from_l100(SAT) == pytest.approx(0.15849, rel=1e-4)
 
     def test_unit_ratio_at_reference(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # corner equals the reference offset
-            p = OscillatorParams(f3db=1e5, l100_sq=3.3e-9, f_ref=1e5)
+        p = OscillatorParams(f3db=1e5, l100_sq=3.3e-9, f_ref=1e5)
         assert l0_sq_from_l100(p) == pytest.approx(3.3e-9, rel=1e-12)
 
     def test_floor_correction_negligible(self):
@@ -184,9 +180,7 @@ class TestPhasorPsd:
         # compare with the closed-form branch it converges to
         from phasenoise.psd import _phasor_continuous_general
         hw = math.pi * SAT.amp
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            p = OscillatorParams(f3db=100.0 * hw, l100_sq=SAT.l100_sq)
+        p = OscillatorParams(f3db=100.0 * hw, l100_sq=SAT.l100_sq)
         for f in [0.0, p.f3db / 2.0, p.f3db]:
             got = _phasor_continuous_general(p, f)
             want = p.amp / (p.f3db ** 2 + f ** 2)
@@ -245,7 +239,7 @@ class TestPhasorPsdWithFloor:
 
 class TestComposite:
     TABLE_LOW = OscillatorParams.from_db(7e2, -105.0, -200.0)
-    TABLE_HIGH = oracles.quiet_params_from_db(2e6, -65.0, -140.0)
+    TABLE_HIGH = OscillatorParams.from_db(2e6, -65.0, -140.0)
 
     def test_single_member(self):
         m = CompositeModel((SAT,))
@@ -297,15 +291,13 @@ class TestTypes:
             OscillatorParams(f3db=-1, l100_sq=1e-9)
         with pytest.raises(ValueError):
             OscillatorParams(f3db=10, l100_sq=1e-9, linf_sq=-1e-12)
-        with pytest.warns(UserWarning, match="f_ref"):
-            OscillatorParams(f3db=2e4, l100_sq=1e-9)
-
-    def test_corner_warning_names_the_building_frame(self):
-        # not the dataclass-generated __init__, whose filename is <string>
-        with pytest.warns(UserWarning, match="f_ref") as record:
-            OscillatorParams.from_db(1e6, -80.0)
-            OscillatorParams(f3db=2e4, l100_sq=1e-9)
-        assert [w.filename for w in record] == [params.__file__, __file__]
+        for bad in ({"f3db": math.nan}, {"l100_sq": math.inf}, {"linf_sq": math.inf},
+                    {"f_ref": math.inf}):
+            with pytest.raises(ValueError, match="must be finite"):
+                OscillatorParams(**{"f3db": 10, "l100_sq": 1e-9, **bad})
+        assert OscillatorParams(f3db=2e4, l100_sq=1e-9).flags == ("corner-above-f_ref/10",)
+        assert OscillatorParams(f3db=1e4, l100_sq=1e-9).flags == ()
+        assert OscillatorParams(f3db=2e4, l100_sq=1e-9, f_ref=1e6).flags == ()
 
     def test_phasor_value_delta_range(self):
         with pytest.raises(ValueError):

@@ -85,7 +85,7 @@ class TestWelch:
     def test_composite_stream_matches_model(self):
         # two-process model with floors at 1 GHz sampling
         low = OscillatorParams.from_db(7e2, -105.0, -200.0)
-        high = oracles.quiet_params_from_db(2e6, -65.0, -140.0)
+        high = OscillatorParams.from_db(2e6, -65.0, -140.0)
         from phasenoise import CompositeModel
         model = CompositeModel((low, high))
         ts = 1e-9

@@ -8,8 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
-
 from phasenoise import (
     ArCoefficients,
     CompositeGenerator,
@@ -67,8 +65,9 @@ class TestArCoefficients:
         assert not c.stationary
 
     def test_validity_limits(self):
-        with pytest.warns(UserWarning, match="validity"):
-            ar_coefficients(SAT, 5e-2 / SAT.f3db)
+        assert ar_coefficients(SAT, 5e-2 / SAT.f3db).flags == ("f3db*ts-above-0.01",)
+        assert ar_coefficients(SAT, 1e-2 / SAT.f3db).flags == ()
+        assert ar_coefficients(SAT, 0.0).flags == ()
         with pytest.raises(ValueError, match="validity"):
             ar_coefficients(SAT, 0.2 / SAT.f3db)
 
@@ -94,6 +93,9 @@ class TestWienerSigma:
     def test_domain(self):
         with pytest.raises(ValueError):
             wiener_sigma(SAT, 0.0)
+        for ts in (math.inf, 1e308):  # an infinite increment variance
+            with pytest.raises(ValueError, match="finite"):
+                CompositeGenerator(OscillatorParams(f3db=0.0, l100_sq=SAT.l100_sq), ts, 1)
 
 
 class TestGenAr:
@@ -225,7 +227,7 @@ class TestGenComposite:
         # regenerate the two core streams of a two-member composite and
         # check they are uncorrelated at lag 0
         low = OscillatorParams.from_db(7e2, -105.0)
-        high = oracles.quiet_params_from_db(2e6, -65.0)
+        high = OscillatorParams.from_db(2e6, -65.0)
         ts, n, seed = 1e-9, 2 ** 21, 31337
         s_low = gen_ar(ar_coefficients(low, ts), n, member_seed(seed, 0)).samples
         s_high = gen_ar(ar_coefficients(high, ts), n, member_seed(seed, 2)).samples
@@ -237,7 +239,7 @@ class TestGenComposite:
 
     def test_determinism(self):
         model = CompositeModel((OscillatorParams.from_db(7e2, -105.0, -200.0),
-                                oracles.quiet_params_from_db(2e6, -65.0, -140.0)))
+                                OscillatorParams.from_db(2e6, -65.0, -140.0)))
         a = gen_composite(model, 1e-9, 10_000, 42)
         b = gen_composite(model, 1e-9, 10_000, 42)
         assert np.array_equal(a.samples, b.samples)
