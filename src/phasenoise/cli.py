@@ -155,6 +155,7 @@ def _log_grid(fmin: float, fmax: float, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # subcommands
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # level_db checks each
 def _cmd_psd(args) -> int:
     tg = _parse_threegpp(args)
     if tg is not None:
@@ -164,17 +165,25 @@ def _cmd_psd(args) -> int:
         model = _parse_model(args)
         model_desc = _model_meta(model)
         evaluate = lambda f: composite_psd(model, f)
+
+    def level_db(value, f) -> float:
+        # a term that overflowed or underflowed at an extreme f leaves 0, inf or nan
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"the PSD has no finite positive level at {f:g} Hz, in "
+                             f"the requested {freqs[0]:g} to {freqs[-1]:g} Hz")
+        return float(db(value))
+
     meta = _meta(args, model=model_desc)
     columns = ["freq_hz", "psd_db"]
     if args.points:
         pts = load_points(args.points)
         freqs = pts[:, 0]
         columns.append("points_db")
-        rows = [[float(f), float(db(evaluate(f))), float(lv)]
+        rows = [[float(f), level_db(evaluate(f), f), float(lv)]
                 for f, lv in zip(freqs, pts[:, 1])]
     else:
         freqs = _log_grid(args.fmin, args.fmax, args.n)
-        rows = [[float(f), float(db(evaluate(f)))] for f in freqs]
+        rows = [[float(f), level_db(evaluate(f), f)] for f in freqs]
     if args.phasor:
         if tg is not None:
             raise ValueError("--phasor applies to oscillator models only")
@@ -185,7 +194,7 @@ def _cmd_psd(args) -> int:
         meta["phasor_delta_weight"] = repr(float(vals.delta_weight))
         columns.append("phasor_db")
         for row, c in zip(rows, np.atleast_1d(vals.continuous)):
-            row.append(float(db(c)))
+            row.append(level_db(c, row[0]))
     OutputWriter(args.output, args.format, meta).write(columns, rows)
     return 0
 
@@ -266,6 +275,8 @@ def _parse_sweep(text: str, default_n: int = 25) -> np.ndarray:
 
 
 def _cmd_errors(args) -> int:
+    if args.f3db is not None and not 0.0 <= args.f3db < math.inf:
+        raise ValueError(f"--f3db must be finite and >= 0, got {args.f3db!r}")
     if args.sweep_rho:
         rhos = _parse_sweep(args.sweep_rho)
         f3db = None

@@ -5,10 +5,10 @@ noise applied either on the oversampled (continuous-time surrogate)
 waveform or directly on the symbol-rate samples, matched filtering,
 pilot-aided phase tracking, and SIR/EVM/BER/SER measurement.  Shaping,
 matched filter and direct-path gain are one overlap-save FFT block
-filter (``_Oversampled._fft_filter``) that interpolates or decimates by
-osf in the frequency domain; the decimating filters compute only the
-symbol instants the link consumes.  The blocks lie on a fixed grid of
-absolute positions, and their cost is nearly flat in the filter span.
+filter (``fft_filter`` in ``_oversampled``) that interpolates or
+decimates by osf in the frequency domain; the decimating filters compute
+only the symbol instants the link consumes.  The blocks lie on a fixed
+grid of absolute positions, and their cost is nearly flat in the span.
 
 A run streams in chunks of at most ``CHUNK_SYMBOLS`` transmitted symbols,
 made of whole pieces: stretches of an information run cut every
@@ -551,8 +551,9 @@ def _symbol_rate(cfg: LinkConfig, chunks):
         yield chunk, y, g0
 
 
-class _Oversampled:
-    """``ct``/``none`` channel: the oversampled chain, in FFT blocks.
+def _oversampled(cfg: LinkConfig, chunks):
+    """``ct``/``none`` channel: the oversampled chain, in FFT blocks, yielded
+    per chunk as (chunk, y, g0); a chunk needs only ``tx``.
 
     Pads ``span`` random QPSK symbols on each side so that every real
     symbol has full filter support, shapes by osf, applies the phasor
@@ -560,52 +561,30 @@ class _Oversampled:
     the direct-path gain ``g0`` only at the symbol instants: real symbol
     i peaks ``span`` symbol slots after the start of its own.
 
-    The three filters are overlap-save FFT blocks (``_fft_filter``) on a
+    The three filters are overlap-save FFT blocks (``fft_filter``) on a
     grid of absolute positions that only ``_BLOCK`` (B) sets.  Block b
     shapes the waveform of the slots of real symbols bB .. (b+1)B-1 from
     those symbols and the ``span`` before them, then filters it, after
     the ``span*osf`` samples before it, into the outputs of real symbols
-    bB-span .. (b+1)B-span-1.  ``push`` buffers its input until a block
-    is complete, so its outputs lag its input by ``span`` to B+span
-    symbols; ``finish`` completes the last block with the tail pads and
-    zeros.  A block's input does not depend on the push sizes, so neither
-    do the bits of its outputs.  Filter cost per symbol is set by the FFT
-    length, next_fast_len(B + span) symbols, and so is nearly flat in span.
+    bB-span .. (b+1)B-span-1.  A block runs once its input is complete,
+    so the outputs lag the input by ``span`` to B+span symbols and each
+    chunk waits in ``pending`` for its own; the tail pads and zeros
+    complete the last block.  A block's input does not depend on the chunk
+    sizes, so neither do the bits of its outputs.  Filter cost per symbol
+    is set by the FFT length, next_fast_len(B + span) symbols: nearly flat
+    in span.
     """
+    from scipy.fft import fft, ifft, next_fast_len
 
-    def __init__(self, cfg: LinkConfig):
-        from scipy.fft import fft, ifft, next_fast_len
+    osf, span, B = cfg.osf, cfg.filter_span, _BLOCK
+    h = rrc_taps(cfg.rolloff, span, osf)
+    size = next_fast_len(B + span) * osf
+    # tap spectra of shaping, matched filter and direct-path gain
+    h_tx = fft(h, size)
+    h_mf = fft(h / osf, size) / osf
+    h_g0 = fft(h * h / osf, size) / osf
 
-        self.fft, self.ifft = fft, ifft
-        osf, span = self.osf, self.span = cfg.osf, cfg.filter_span
-        h = rrc_taps(cfg.rolloff, span, osf)
-        size = next_fast_len(_BLOCK + span) * osf
-        # tap spectra of shaping, matched filter and direct-path gain
-        self.h = fft(h, size)
-        self.h_mf = fft(h / osf, size) / osf
-        self.h_g0 = fft(h * h / osf, size) / osf
-        pad_rng = _sub_rng(cfg.seed, _SEED_PAD)
-        pads = Constellation("qpsk").map_bits(pad_rng.integers(0, 2, (2 * span, 2)))
-        self.seq, self.tail = pads[:span], pads[span:]  # symbols from bB-span on
-        self.b = 0      # next block
-        self.n_in = 0   # real symbols pushed
-        self.hist = span * osf
-        # receive-filter input of a block: history, then the block's waveform
-        self.rx = np.zeros(self.hist + _BLOCK * osf, dtype=complex)
-        self.ph = self.pn = None
-        if cfg.pn_mode == "ct":
-            self.pn = CompositeGenerator(cfg.pn_model, cfg.ts / osf,
-                                         member_seed(cfg.seed, _SEED_PN))
-            self.ph = np.zeros_like(self.rx)
-        self.awgn = _sub_rng(cfg.seed, _SEED_AWGN)
-        esn0 = _esn0(cfg)
-        self.variance = None if esn0 is None else osf / esn0
-        # the waveform of the leading pads feeds only outputs that are
-        # dropped: its history stays zero, but its phasor and noise are
-        # drawn so that every later sample gets the same draws
-        self._impair(np.zeros(self.hist, dtype=complex), np.empty(self.hist, dtype=complex))
-
-    def _fft_filter(self, x: np.ndarray, spectrum: np.ndarray, up: bool) -> np.ndarray:
+    def fft_filter(x: np.ndarray, spectrum: np.ndarray, up: bool) -> np.ndarray:
         """One overlap-save block of a real-tap FIR between the symbol rate and
         osf times it: a circular convolution whose length is ``spectrum.size``
         (the DFT of the taps, a multiple of osf).
@@ -615,79 +594,69 @@ class _Oversampled:
         only every osf-th output is kept: the product spectrum is folded onto
         its first 1/osf (``spectrum`` carries the 1/osf of the fold).
         """
-        osf, fft, ifft = self.osf, self.fft, self.ifft
         n = spectrum.size // osf
         if up:
             return ifft((spectrum.reshape(osf, n) * fft(x, n)).ravel(), overwrite_x=True)
         folded = (fft(x, spectrum.size) * spectrum).reshape(osf, n).sum(axis=0)
         return ifft(folded, overwrite_x=True)
 
-    def _impair(self, wave: np.ndarray, phasor: np.ndarray) -> None:
+    pad_rng = _sub_rng(cfg.seed, _SEED_PAD)
+    pads = Constellation("qpsk").map_bits(pad_rng.integers(0, 2, (2 * span, 2)))
+    seq = pads[:span]  # symbols from bB-span on
+    hist = span * osf
+    # receive-filter input of a block: history, then the block's waveform
+    rx = np.zeros(hist + B * osf, dtype=complex)
+    ph = pn = None
+    if cfg.pn_mode == "ct":
+        pn = CompositeGenerator(cfg.pn_model, cfg.ts / osf, member_seed(cfg.seed, _SEED_PN))
+        ph = np.zeros_like(rx)
+    awgn = _sub_rng(cfg.seed, _SEED_AWGN)
+    variance = None if cfg.esn0_db is None else osf / _esn0(cfg)
+
+    def impair(wave: np.ndarray, phasor: np.ndarray) -> None:
         """Apply the phasor (into ``phasor``) and the AWGN to ``wave`` in place."""
-        if self.pn is not None:
-            _phasor(self.pn.take(wave.size), out=phasor)
+        if pn is not None:
+            _phasor(pn.take(wave.size), out=phasor)
             wave *= phasor
-        if self.variance is not None:
-            wave += _complex_awgn(self.awgn, wave.size, self.variance)
+        if variance is not None:
+            wave += _complex_awgn(awgn, wave.size, variance)
 
-    def _block(self) -> tuple[np.ndarray, np.ndarray]:
-        osf, span, hist, B = self.osf, self.span, self.hist, _BLOCK
-        n = min(B, self.seq.size - span) * osf  # waveform samples; fewer only at the end
-        wave = self._fft_filter(self.seq[:B + span], self.h, up=True)
-        for buf in (self.rx, self.ph):
-            if buf is not None:
-                buf[:hist] = buf[buf.size - hist:]
-                buf[hist + n:] = 0.0
-        new = self.rx[hist:hist + n]
-        new[:] = wave[hist:hist + n]
-        self._impair(new, None if self.ph is None else self.ph[hist:hist + n])
-        # outputs of real symbols lo .. lo+B-1; keep those of 0 .. n_in-1
-        lo = self.b * B - span
-        keep = slice(max(0, -lo), self.n_in - lo)
-        y = self._fft_filter(self.rx, self.h_mf, up=False)[span:span + B][keep]
-        # without phase noise the direct path has the unit gain of the
-        # unit-energy taps
-        g0 = np.ones_like(y) if self.ph is None else \
-            self._fft_filter(self.ph, self.h_g0, up=False)[span:span + B][keep]
-        self.seq, self.b = self.seq[B:], self.b + 1
-        return y, g0
-
-    def _run(self, tx: np.ndarray, last: bool) -> tuple[np.ndarray, np.ndarray]:
-        self.seq = np.concatenate([self.seq, tx])
-        out = [(np.empty(0, dtype=complex),) * 2]
-        while self.seq.size >= _BLOCK + self.span or (last and self.seq.size > self.span):
-            out.append(self._block())
-        return np.concatenate([o[0] for o in out]), np.concatenate([o[1] for o in out])
-
-    def push(self, tx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        self.n_in += tx.size
-        return self._run(tx, last=False)
-
-    def finish(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._run(self.tail, last=True)
-
-
-def _received(cfg: LinkConfig, const: Constellation):
-    """Each transmit chunk with the channel's output at its positions:
-    (chunk, y, g0), g0 the direct-path gain."""
-    if cfg.pn_mode == "dt":
-        yield from _symbol_rate(cfg, _tx_chunks(cfg, const))
-        return
-    chan = _Oversampled(cfg)
+    # the waveform of the leading pads feeds only outputs that are
+    # dropped: its history stays zero, but its phasor and noise are
+    # drawn so that every later sample gets the same draws
+    impair(np.zeros(hist, dtype=complex), np.empty(hist, dtype=complex))
+    b = n_in = 0  # next block, real symbols received
     pending = deque()
-    y = g0 = np.empty(0, dtype=complex)
-    for chunk in itertools.chain(_tx_chunks(cfg, const), [None]):
-        if chunk is None:
-            y_new, g_new = chan.finish()
-        else:
+    y = g0 = np.empty(0, dtype=complex)  # outputs of the pending chunks
+    for chunk in itertools.chain(chunks, [None]):
+        if chunk is not None:
             pending.append(chunk)
-            y_new, g_new = chan.push(chunk.tx)
-        y = np.concatenate([y, y_new]) if y.size else y_new
-        g0 = np.concatenate([g0, g_new]) if g0.size else g_new
+            n_in += chunk.tx.size
+        seq = np.concatenate([seq, pads[span:] if chunk is None else chunk.tx])
+        ys, gs = [y], [g0]
+        while seq.size >= B + span or (chunk is None and seq.size > span):
+            n = min(B, seq.size - span) * osf  # waveform samples; fewer only at the end
+            wave = fft_filter(seq[:B + span], h_tx, up=True)
+            for buf in (rx, ph):
+                if buf is not None:
+                    buf[:hist] = buf[buf.size - hist:]
+                    buf[hist + n:] = 0.0
+            new = rx[hist:hist + n]
+            new[:] = wave[hist:hist + n]
+            impair(new, None if ph is None else ph[hist:hist + n])
+            # outputs of real symbols lo .. lo+B-1; keep those of 0 .. n_in-1
+            lo = b * B - span
+            keep = slice(max(0, -lo), n_in - lo)
+            ys.append(fft_filter(rx, h_mf, up=False)[span:span + B][keep])
+            # without phase noise the direct path has the unit gain of the
+            # unit-energy taps
+            gs.append(np.ones_like(ys[-1]) if ph is None else
+                      fft_filter(ph, h_g0, up=False)[span:span + B][keep])
+            seq, b = seq[B:], b + 1
+        y, g0 = np.concatenate(ys), np.concatenate(gs)
         while pending and y.size >= pending[0].tx.size:
-            ch = pending.popleft()
-            k = ch.tx.size
-            yield ch, y[:k], g0[:k]
+            k = pending[0].tx.size
+            yield pending.popleft(), y[:k], g0[:k]
             y, g0 = y[k:], g0[k:]
 
 
@@ -710,7 +679,8 @@ def simulate_link(cfg: LinkConfig) -> LinkStats:
         n_err += int(np.count_nonzero(wrong))
         n_sym_err += int(np.count_nonzero(wrong.view(f"u{const.bits_per_symbol}")))
 
-    for ch, y, g0 in _received(cfg, const):
+    channel = _symbol_rate if cfg.pn_mode == "dt" else _oversampled
+    for ch, y, g0 in channel(cfg, _tx_chunks(cfg, const)):
         x, y_info, g0_info = ch.syms, y[ch.info], g0[ch.info]
         # SIR on the untracked matched-filter output
         cells.add(ch.info_start, **_sir_terms(x, y_info, g0_info),

@@ -71,7 +71,10 @@ def pn_autocorr(params: OscillatorParams, tau) -> float | np.ndarray:
     if params.linf_sq != 0.0:
         raise ValueError("autocorrelation is defined for linf_sq=0 models")
     tarr = np.asarray(tau, dtype=float)
-    out = (math.pi * params.amp / params.f3db) * np.exp(-2.0 * math.pi * params.f3db * np.abs(tarr))
+    # a lag so large that the exponent overflows to -inf gives the limit, 0
+    with np.errstate(over="ignore"):
+        out = (math.pi * params.amp / params.f3db) * np.exp(
+            -2.0 * math.pi * params.f3db * np.abs(tarr))
     return out if tarr.ndim else float(out)
 
 
@@ -85,11 +88,13 @@ def phasor_autocorr(params: OscillatorParams, tau) -> float | np.ndarray:
         raise ValueError("phasor autocorrelation is defined for linf_sq=0 models")
     tarr = np.asarray(tau, dtype=float)
     at = np.abs(tarr)
-    if params.f3db == 0.0:
-        out = np.exp(-2.0 * math.pi ** 2 * params.amp * at)
-    else:
-        c = math.pi * params.amp / params.f3db
-        out = np.exp(c * np.expm1(-2.0 * math.pi * params.f3db * at))
+    # a lag so large that an exponent overflows to -inf gives the limit
+    with np.errstate(over="ignore"):
+        if params.f3db == 0.0:
+            out = np.exp(-2.0 * math.pi ** 2 * params.amp * at)
+        else:
+            c = math.pi * params.amp / params.f3db
+            out = np.exp(c * np.expm1(-2.0 * math.pi * params.f3db * at))
     return out if tarr.ndim else float(out)
 
 

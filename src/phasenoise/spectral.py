@@ -24,9 +24,13 @@ def db(linear) -> float | np.ndarray:
 
 
 def undb(level_db) -> float | np.ndarray:
-    """Inverse of :func:`db`."""
+    """Inverse of :func:`db`; raises for a finite level that overflows."""
     arr = np.asarray(level_db, dtype=float)
-    out = 10.0 ** (arr / 10.0)
+    with np.errstate(over="ignore"):
+        out = 10.0 ** (arr / 10.0)
+    big = np.isinf(out) & np.isfinite(arr)
+    if np.any(big):
+        raise ValueError(f"{np.max(arr[big]):g} dB overflows a double")
     return out if arr.ndim else float(out)
 
 
@@ -63,6 +67,16 @@ class PsdComparison:
 _BATCH = 1 << 15
 
 
+def _window(name: str, n: int) -> np.ndarray:
+    """The periodic window a0 + (1 - a0)*cos(x), x over one period from -pi,
+    as ``scipy.signal.get_window(name, n)`` builds it, bit for bit."""
+    a0 = {"hann": 0.5, "hamming": 0.54}.get(name)
+    if a0 is None:
+        raise ValueError(f"window must be 'hann' or 'hamming', got {name!r}")
+    x = np.linspace(-np.pi, np.pi, n + 1)[:-1]
+    return a0 + (1 - a0) * np.cos(x) if n > 1 else np.ones(1)  # the cosine is 0 at n = 1
+
+
 class WelchAccumulator:
     """Welch estimate of an n-sample stream fed block by block.
 
@@ -76,8 +90,6 @@ class WelchAccumulator:
 
     def __init__(self, n: int, fs: float, segment_len: int = DEFAULT_SEGMENT_LEN,
                  overlap: float = 0.5, window: str = "hann"):
-        import scipy.signal
-
         if segment_len & (segment_len - 1) or segment_len <= 0:
             raise ValueError(f"segment_len must be a power of two, got {segment_len}")
         if n < 4 * segment_len:
@@ -89,7 +101,7 @@ class WelchAccumulator:
         self.n_segments = 1 + (n - segment_len) // self.hop
         # at least two segments, so that every batch has lag-segment_len differences
         self.per_batch = max(2, _BATCH // segment_len)
-        win = scipy.signal.get_window(window, segment_len)
+        win = _window(window, segment_len)
         # scaled to a density as scipy.signal.welch scales it, so that the
         # transforms see the same inputs as that reference
         self.win = win * (1.0 / np.sqrt(sum(win ** 2) / (1.0 / fs)))
@@ -170,7 +182,8 @@ def welch_psd(samples, fs: float, segment_len: int = DEFAULT_SEGMENT_LEN,
     overlap : float
         Fractional segment overlap in [0, 1).
     window : str
-        Window name accepted by ``scipy.signal.get_window``.
+        ``"hann"`` or ``"hamming"``, periodic, as ``scipy.signal.get_window``
+        builds them.
 
     No detrending is applied, so the estimate conserves total power; an
     input whose mean drifts, so that the estimate is unreliable at low

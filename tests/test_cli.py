@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -194,11 +193,31 @@ def test_every_model_header_flags_a_high_corner(capsys, argv):
      "sigma_u_sq must be finite and >= 0, got inf"),
     (["autocorr", "--f3db", "10", "--l100-db", "-88", "--tau-max", "inf"],
      "need 0 < lo <= hi < inf, got 1e-09:inf"),
-    (["errors", "--sweep-rho", "1e-4:inf:3"], "need 0 < lo <= hi < inf, got 0.0001:inf")])
+    (["errors", "--sweep-rho", "1e-4:inf:3"], "need 0 < lo <= hi < inf, got 0.0001:inf"),
+    (["errors", "--l100-db", "-88", "--ts", "1e-7", "--f3db", "nan"],
+     "--f3db must be finite and >= 0, got nan"),
+    (["errors", "--l100-db", "-88", "--ts", "1e-7", "--f3db", "-5"],
+     "--f3db must be finite and >= 0, got -5.0"),
+    (["errors", "--l100-db", "1e308", "--ts", "1e-7"], "1e+308 dB overflows a double"),
+    # densities that overflow to 0 or nan at large offsets, or to inf at a tiny one
+    (["psd", "--f3db", "10", "--l100-db", "-88", "--fmax", "1e300", "--n", "2"],
+     "no finite positive level at 1e+300 Hz, in the requested 1 to 1e+300 Hz"),
+    (["psd", "--f3db", "10", "--l100-db", "-88", "--points", "POINTS"],
+     "no finite positive level at 1e+200 Hz, in the requested 1000 to 1e+200 Hz"),
+    (["psd", "--threegpp-psd0-db", "35.65257", "--threegpp-zero", "3e3,2.37",
+      "--threegpp-zero", "451e3,2.7", "--threegpp-zero", "458e6,2.53",
+      "--threegpp-pole", "1,3.3", "--threegpp-pole", "1.54e6,3.3",
+      "--threegpp-pole", "30e6,1", "--fmax", "1e100"],
+     "Hz, in the requested 1 to 1e+100 Hz"),
+    (["psd", "--f3db", "0", "--l100-db", "-88", "--fmin", "1e-200", "--fmax", "1", "--n", "2"],
+     "no finite positive level at 1e-200 Hz, in the requested 1e-200 to 1 Hz")])
 def test_non_finite_argument_is_one_error_line(capsys, tmp_path, argv, names):
     config = tmp_path / "cfg.json"
     config.write_text('{"ts": Infinity, "n_symbols": 2000}')
-    code, out, err = run_capture(capsys, [str(config) if a == "CONFIG" else a for a in argv])
+    points = tmp_path / "pts.csv"
+    points.write_text("freq_hz,level_db\n1e3,-80\n1e200,-100\n")
+    files = {"CONFIG": str(config), "POINTS": str(points)}
+    code, out, err = run_capture(capsys, [files.get(a, a) for a in argv])
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("phasenoise: error: ")
@@ -363,7 +382,10 @@ _SCIPY_CHILD = ("import contextlib, io, json, sys\n"
     (["errors", "--sweep-rho", "1e-4:1e-2:5"], ("scipy",)),
     (["psd", "--f3db", "10", "--l100-db", "-88", "--fmin", "1", "--fmax", "1e6"], ("scipy",)),
     (["fit", "--points", "sat.csv", "--k", "2"], ("scipy.signal", "scipy.integrate")),
-], ids=["help", "errors", "psd", "fit"])
+    # the Welch window is built without scipy.signal; only an AR member needs it
+    (["validate", "--f3db", "0", "--l100-db", "-100", "--ts", "1e-7", "--n", "65536"],
+     ("scipy",)),
+], ids=["help", "errors", "psd", "fit", "validate_free_running"])
 def test_commands_load_only_the_scipy_they_call(tmp_path, monkeypatch, argv, absent):
     # each scipy subpackage is imported by the function that calls it
     monkeypatch.chdir(tmp_path)
@@ -663,9 +685,7 @@ def test_random_argv_never_tracebacks(tmp_path, capsys, subcommand, data, points
     argv = [str(tmp_path / "points.csv") if a == "POINTS" else
             str(tmp_path / "out") if a == "OUT" else a
             for a in data.draw(_argv(subcommand))]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # e.g. psd --fmax 1e300 overflows
-        code = run(argv)
+    code = run(argv)
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     assert "Traceback" not in err

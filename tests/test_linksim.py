@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -119,11 +120,11 @@ class TestPolyphaseChain:
                          filter_span=span)
         qpsk = Constellation("qpsk")
         tx = qpsk.map_bits(np.random.default_rng(osf).integers(0, 2, (n_symbols, 2)))
-        chain = linksim._Oversampled(cfg)
-        out = [chain.push(piece) for piece in np.split(tx, cuts)]
-        out.append(chain.finish())
-        y = np.concatenate([o[0] for o in out])
-        g0 = np.concatenate([o[1] for o in out])
+        pieces = [SimpleNamespace(tx=piece) for piece in np.split(tx, cuts)]
+        out = list(linksim._oversampled(cfg, pieces))
+        assert [o[0] for o in out] == pieces
+        y = np.concatenate([o[1] for o in out])
+        g0 = np.concatenate([o[2] for o in out])
 
         pad_bits = linksim._sub_rng(cfg.seed, linksim._SEED_PAD).integers(0, 2, (2 * span, 2))
         pads = qpsk.map_bits(pad_bits)
@@ -547,15 +548,16 @@ class TestChunking:
         assert np.array_equal(whole.fields, lay.field_starts)
         assert np.array_equal(whole.info, lay.info_positions)
 
-    @pytest.mark.parametrize("mode", ["dt", "ct"])
+    @pytest.mark.parametrize("mode", ["dt", "ct", "none"])
     def test_channel_output_bit_identical(self, monkeypatch, mode):
         # the received samples themselves, not only the statistics
         cfg = LinkConfig(n_symbols=30_000, pn_mode=mode, pn_model=SAT, esn0_db=10.0,
                          pilot_len=20, pilot_period=500, seed=4, filter_span=17)
+        channel = linksim._symbol_rate if mode == "dt" else linksim._oversampled
 
         def run(chunk):
             monkeypatch.setattr(linksim, "CHUNK_SYMBOLS", chunk)
-            out = list(linksim._received(cfg, Constellation("qpsk")))
+            out = list(channel(cfg, linksim._tx_chunks(cfg, Constellation("qpsk"))))
             return [np.concatenate([o[k] for o in out]) for k in (1, 2)]
 
         y, g0 = run(10 ** 9)

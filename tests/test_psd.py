@@ -84,6 +84,7 @@ class TestPnAutocorr:
         assert np.allclose(r, pn_autocorr(SAT_NOFLOOR, -taus))
         assert np.all(np.diff(r) < 0)
         assert pn_autocorr(SAT_NOFLOOR, 10.0) < 1e-20
+        assert pn_autocorr(SAT_NOFLOOR, 1e308) == 0.0  # the exponent overflows to -inf
 
     def test_inverse_fourier_oracle(self):
         # R(tau) equals the inverse transform of the PSD within 1e-9 relative
@@ -115,6 +116,10 @@ class TestPhasorAutocorr:
         assert phasor_autocorr(SAT_NOFLOOR, 10.0) == pytest.approx(
             math.exp(-4.9790888101603), rel=1e-6)
         assert phasor_autocorr(SAT_NOFLOOR, 10.0) == pytest.approx(6.87e-3, rel=1e-2)
+        # lags at which the exponent overflows to -inf give the limits
+        assert phasor_autocorr(SAT_NOFLOOR, 1e308) == pytest.approx(
+            math.exp(-4.9790888101603), rel=1e-12)
+        assert phasor_autocorr(OscillatorParams.from_db(0.0, -88.0), 1e308) == 0.0
 
     def test_range(self):
         taus = np.logspace(-6, 1, 30)

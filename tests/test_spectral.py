@@ -45,6 +45,13 @@ class TestDb:
         with pytest.raises(ValueError):
             db(np.array([1.0, -2.0]))
 
+    def test_overflow_rejected(self):
+        with pytest.raises(ValueError, match="1e\\+308 dB overflows a double"):
+            undb(1e308)
+        with pytest.raises(ValueError, match="4000 dB overflows"):
+            undb(np.array([-88.0, 4000.0]))
+        assert undb(math.inf) == math.inf
+
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=-300.0, max_value=300.0))
     def test_roundtrip(self, x):
@@ -174,6 +181,16 @@ def _streams(n, seed):
 
 
 class TestWelchAccumulator:
+    @pytest.mark.parametrize("window", ["hann", "hamming"])
+    def test_window_is_scipy_get_window(self, window):
+        for n in 2 ** np.arange(17):
+            want = scipy.signal.get_window(window, int(n))
+            assert spectral._window(window, int(n)).tobytes() == want.tobytes(), n
+
+    def test_other_window_names_are_refused(self):
+        with pytest.raises(ValueError, match="'hann' or 'hamming', got 'blackman'"):
+            WelchAccumulator(64, 1.0, 16, window="blackman")
+
     @pytest.mark.parametrize("window", ["hann", "hamming"])
     @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
     @pytest.mark.parametrize("log2_len", range(10, 15))
