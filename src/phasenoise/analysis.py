@@ -46,6 +46,7 @@ import numpy as np
 
 from .linksim import rrc_taps
 from .params import OscillatorParams
+from .timegen import _ArScan
 
 
 def _is_mp(x) -> bool:
@@ -203,17 +204,16 @@ def sir_for_pulse(rolloff: float, rho_value, filter_span: int = 32, osf: int = 5
     autocorrelation (``phasor_autocorr`` of the free-running model), and
     gamma_{-l} = gamma_l.  The exponential kernel makes each double sum
     a first-order recursion: with y = q_l filtered by 1/(1 - r z^-1),
-    r = exp(-2*pi*rho/osf), the sum is 2 q_l.y - q_l.q_l.
+    r = exp(-2*pi*rho/osf), the sum is 2 q_l.y - q_l.q_l.  The filter is
+    the AR(1) generator's scan, ``timegen._ArScan``.
     """
-    from scipy.signal import lfilter
-
     r = float(_coerce(rho_value))
     h = rrc_taps(rolloff, filter_span, osf)
     decay = math.exp(-2.0 * math.pi * r / osf)
     gammas = []
     for lag in range(filter_span + 1):
         q = h[lag * osf:] * h[:h.size - lag * osf]
-        y = lfilter([1.0], [1.0, -decay], q)
+        y = _ArScan(decay)(q)
         gammas.append(2.0 * np.dot(q, y) - np.dot(q, q))
     return float(gammas[0] / (2.0 * math.fsum(gammas[1:])))
 

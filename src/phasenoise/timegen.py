@@ -12,6 +12,13 @@ which reduces to the Wiener random walk with increment variance
 of variance linf_sq/Ts.  Streams are generated with numpy's PCG64
 generator (seeded 64-bit, documented algorithm, ziggurat normals);
 identical (model, ts, n, seed) inputs regenerate bit-identical output.
+The AR(1) recursion is a numpy scan (``_ArScan``) on a fixed grid of
+absolute 1024-sample blocks: within a block each sample is a**j times
+a cumulative sum of the block's innovations scaled by a**-j, and a
+block starts from the last sample of the one before.  The grid is fixed
+by the sample index, not by the take, so the bits do not depend on
+how the stream is split; they agree with a direct-form recursion to
+about 1e-13 of the stream's standard deviation.
 ``CompositeGenerator`` produces the same stream block by block, with
 the same bits at any block size; ``gen_composite`` is its one-block case.
 The CSV and binary writers take an iterable of blocks in the same way,
@@ -20,6 +27,7 @@ and ``save_stream_csv``/``save_stream_bin`` are their one-block case.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -126,31 +134,103 @@ def wiener_sigma(params: OscillatorParams, ts: float) -> float:
     return 4.0 * math.pi ** 2 * params.amp * ts
 
 
+@functools.lru_cache(maxsize=64)
+def _scan_tables(a: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """a**j and a**-j for j < size."""
+    k = np.arange(size)
+    up, down = np.power(a, k), np.power(a, -k)
+    up.flags.writeable = down.flags.writeable = False
+    return up, down
+
+
+class _ArScan:
+    """The recursion y[k] = a*y[k-1] + x[k], y[-1] = 0, fed in pieces.
+
+    Samples fall on a fixed grid of absolute blocks of L samples.  In a
+    block that starts at sample b, with carry c = y[b-1],
+
+        y[b+j] = a**j * (a*c + cumsum(x[b:] * a**-j)[j]),
+
+    and the running sum of the open block and the carry are kept between
+    calls, so every sample is the same sequence of float operations
+    whatever the piece sizes.  ``scale`` is the standard deviation of x.
+    L is 1024, or less where a**-(L-1) * scale would pass 1e280, which
+    leaves a factor 1e28 for the tail of x and the block's cumsum before
+    float64 overflows.  The block shortens only near the model's limit
+    f3db*Ts = 0.1 (a = 0.53, a**-1023 = 1.3e279) with a scale above 1,
+    below that pole (a hand-built ``ArCoefficients``), or at a scale
+    that float64 can barely hold; a = 0 gives L = 1.
+    """
+
+    def __init__(self, a: float, scale: float = 1.0):
+        budget = max(0.0, 280 * math.log(10) - math.log(max(scale, 1.0)))
+        if 0.0 < a < 1.0:
+            size = min(1024, 1 + int(budget / -math.log(a)))
+        else:
+            size = 1024 if a == 1.0 else 1
+        self.a = a
+        self.up, self.down = _scan_tables(a, size)
+        self.pos = 0      # samples of the open block already produced
+        self.carry = 0.0  # last output before the open block
+        self.run = 0.0    # cumsum of the open block so far
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        size, pos, n = self.up.size, self.pos, len(x)
+        rows = -(-(pos + n) // size)
+        # one grid row per block; a take inside one block spans only its
+        # own columns and the running sum's
+        lo, hi = (max(pos - 1, 0), pos + n) if rows == 1 else (0, size)
+        buf = np.zeros(rows * (hi - lo))
+        buf[pos - lo:pos - lo + n] = x
+        grid = buf.reshape(rows, hi - lo)
+        grid *= self.down[lo:hi]
+        if pos:
+            grid[0, pos - 1 - lo] = self.run
+        np.cumsum(grid, axis=1, out=grid)
+        full, self.pos = divmod(pos + n, size)
+        if self.pos:
+            self.run = float(grid[full, self.pos - 1 - lo])
+        # each full block's last output, by the grid's own operations below
+        start = np.empty(rows)
+        a, last, c = self.a, float(self.up[-1]), self.carry
+        for r, s in enumerate(grid[:full, -1].tolist()):
+            start[r] = ac = a * c
+            c = last * (ac + s)
+        if full < rows:
+            start[full] = a * c
+        self.carry = c
+        grid += start[:, None]
+        grid *= self.up[lo:hi]
+        return buf[pos - lo:pos - lo + n]
+
+
 class _ArSource:
-    """AR(1) recursion drawn block by block; lfilter's state carries across blocks."""
+    """AR(1) recursion drawn block by block through one ``_ArScan``.
+
+    Every take continues the scan's fixed grid of absolute blocks, so
+    the stream has the same bits whatever the take sizes.
+    """
 
     def __init__(self, coeffs: ArCoefficients, seed: int):
         if coeffs.a >= 1.0:
             raise ValueError("a=1 is the random-walk mode: use gen_wiener")
         self.coeffs = coeffs
         self.rng = np.random.default_rng(seed)
-        self.zi = None
+        self.scan = _ArScan(coeffs.a, math.sqrt(coeffs.stationary_variance))
+        self.started = False
         self.model = {"kind": "ar", "a": coeffs.a, "sigma_u_sq": coeffs.sigma_u_sq}
 
     def take(self, n: int) -> np.ndarray:
-        from scipy.signal import lfilter
-
         if n == 0:
             return np.empty(0)
         drive = np.empty(n)
         head = 0
-        if self.zi is None:  # theta_0 first, from the stationary distribution
+        if not self.started:  # theta_0 first, from the stationary distribution
             drive[0] = self.rng.normal(0.0, math.sqrt(self.coeffs.stationary_variance))
             head = 1
-            self.zi = np.zeros(1)
+            self.started = True
         drive[head:] = self.rng.normal(0.0, math.sqrt(self.coeffs.sigma_u_sq), n - head)
-        out, self.zi = lfilter([1.0], [1.0, -self.coeffs.a], drive, zi=self.zi)
-        return out
+        return self.scan(drive)
 
 
 class _WienerSource:
@@ -297,8 +377,11 @@ def save_stream_csv(stream: PnStream, dest) -> None:
 
 
 def load_stream_csv(path) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return data[:, 1]
+    """The ``theta_rad`` column of a stream CSV, read past its ``#`` lines
+    and its ``k,theta_rad`` header."""
+    with open(path) as fh:
+        rows = (line for line in fh if not line.startswith(("#", "k,")))
+        return np.loadtxt(rows, delimiter=",", ndmin=2)[:, 1]
 
 
 def write_stream_bin(path, meta: dict, n: int, blocks) -> None:

@@ -10,6 +10,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
+from scipy.signal import lfilter
 
 mp.mp.dps = 50
 
@@ -147,6 +148,24 @@ def nonstationary_whole_array(samples: np.ndarray, segment_len: int) -> bool:
     if v1 == 0.0:
         return bool(v2 > 0.0)
     return bool(v2 / v1 > 10.0)
+
+
+# ---------------------------------------------------------------------------
+# time-domain generator oracle
+
+def ar_stream_lfilter(coeffs, n: int, seed: int) -> np.ndarray:
+    """``gen_ar(coeffs, n, seed).samples`` filtered by ``scipy.signal.lfilter``.
+
+    The same draws in the same order (theta_0 from the stationary
+    distribution, then n - 1 innovations), through the direct-form
+    recursion theta_k = a theta_{k-1} + u_k in place of the library's
+    block scan.
+    """
+    rng = np.random.default_rng(seed)
+    drive = np.empty(n)
+    drive[0] = rng.normal(0.0, math.sqrt(coeffs.stationary_variance))
+    drive[1:] = rng.normal(0.0, math.sqrt(coeffs.sigma_u_sq), n - 1)
+    return lfilter([1.0], [1.0, -coeffs.a], drive)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,11 @@ class TestSirForPulse:
     def test_mpmath_argument(self):
         assert sir_for_pulse(0.3, mp.mpf("1e-3")) == sir_for_pulse(0.3, 1e-3)
 
+    def test_decay_rounds_to_one(self):
+        # below rho ~ 1e-16 the kernel's decay exp(-2*pi*rho/osf) is 1.0
+        sir = sir_for_pulse(0.3, 1e-18)
+        assert math.isfinite(sir) and sir > sir_for_pulse(0.3, 1e-6)
+
     def test_domain(self):
         for bad_rho in (0.0, -1e-3):
             with pytest.raises(ValueError, match="rho"):

@@ -260,7 +260,7 @@ class TestGen:
             assert run(argv + ["-o", str(path)]) == 0
             body = path.read_bytes()
             assert hashlib.sha256(body).hexdigest() == (
-                "8385f73cc40a9900e30f52d7e54c333038ac5a3a1d03e9e4883d6a7e5efb9398")
+                "8b80af03436b4a92809b573efefea835128d36f310c0cd31b3f526a3a2b233d7")
             code, out, _ = run_capture(capsys, argv)
             assert code == 0 and out.encode() == header.encode() + body
 
@@ -274,11 +274,11 @@ class TestGen:
             path = tmp_path / f"s{block}.bin"
             assert run(argv + ["--binary", "-o", str(path)]) == 0
             assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-                "df167a05fca3fac3349dfe552b95033435755ecd05a0fa1be580017edb59e99a")
+                "1f0fe678e689bbaab568befa39e350b6668a667819c61da846b39b5539215e2d")
             path = tmp_path / f"s{block}.csv"
             assert run(argv + ["-o", str(path)]) == 0
             assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-                "8385f73cc40a9900e30f52d7e54c333038ac5a3a1d03e9e4883d6a7e5efb9398")
+                "8b80af03436b4a92809b573efefea835128d36f310c0cd31b3f526a3a2b233d7")
 
     def test_byte_determinism(self, capsys):
         argv = ["gen", "--f3db", "10", "--l100-db", "-88", "--ts", "1e-7",
@@ -377,15 +377,24 @@ _SCIPY_CHILD = ("import contextlib, io, json, sys\n"
                 "loaded()\n")
 
 
+# the satellite PLL model: an AR member and a floor
+_SAT_ARGS = ["--f3db", "10", "--l100-db", "-88", "--linf-db", "-114"]
+
+
 @pytest.mark.parametrize("argv, absent", [
     (["--help"], ("scipy",)),
     (["errors", "--sweep-rho", "1e-4:1e-2:5"], ("scipy",)),
     (["psd", "--f3db", "10", "--l100-db", "-88", "--fmin", "1", "--fmax", "1e6"], ("scipy",)),
     (["fit", "--points", "sat.csv", "--k", "2"], ("scipy.signal", "scipy.integrate")),
-    # the Welch window is built without scipy.signal; only an AR member needs it
     (["validate", "--f3db", "0", "--l100-db", "-100", "--ts", "1e-7", "--n", "65536"],
      ("scipy",)),
-], ids=["help", "errors", "psd", "fit", "validate_free_running"])
+    (["gen", *_SAT_ARGS, "--ts", "1e-7", "--n", "10000"], ("scipy",)),
+    (["validate", *_SAT_ARGS, "--ts", "1e-7", "--n", "65536"], ("scipy",)),
+    (["ber", "--pn", "dt", *_SAT_ARGS, "--n-symbols", "20000", "--esn0-db", "8"], ("scipy",)),
+    (["sir", "--rho", "1e-3", "--rolloffs", "0.5", "--n-symbols", "20000"],
+     ("scipy.signal", "scipy.integrate")),
+], ids=["help", "errors", "psd", "fit", "validate_free_running", "gen_sat", "validate_sat",
+        "ber_dt_sat", "sir"])
 def test_commands_load_only_the_scipy_they_call(tmp_path, monkeypatch, argv, absent):
     # each scipy subpackage is imported by the function that calls it
     monkeypatch.chdir(tmp_path)
@@ -529,13 +538,13 @@ class TestFit:
      "44a010f139f5fe6e911bdbb84098deaaf1f2763b596bc37b082ddfd06d296a67"),
     (["ber", "--pn", "ct", "--f3db", "10", "--l100-db", "-88", "--linf-db", "-114",
       "--n-symbols", "20000", "--esn0-db", "8", "--seed", "5"],
-     "96990ceae2565f9445a23859181cf0149b708b9d44fbdf361baeab1b21bf1ee5"),
+     "bf86d3dc74e002f7348bc783c31f643733b652ac30abd020a3097dea7f279a8a"),
     (["ber", "--pn", "none", "--n-symbols", "20000", "--esn0-db", "6", "--seed", "5"],
      "7acebdd4b29a907ad577b051030367e755179c233760a0b69ebf4235ecaa56bb"),
     # 16-QAM over 150,000 symbols: many CHUNK_SYMBOLS chunks
     (["ber", "--constellation", "qam16", "--pn", "dt", "--f3db", "1000", "--l100-db", "-90",
       "--linf-db", "-120", "--n-symbols", "150000", "--esn0-db", "12,16", "--seed", "6"],
-     "4cddbeb824d9423daa29d43f63e49b91ce2da813241e1edc10450c55d4cfa655"),
+     "2ede961de6c1384ac9e257612702ac2dcfc1057b0df07b27c19bad1ba06fd609"),
     (["ber", "--constellation", "qam16", "--pn", "ct", "--f3db", "1000", "--l100-db", "-90",
       "--linf-db", "-120", "--n-symbols", "150000", "--esn0-db", "12,16", "--seed", "6"],
      "6bcba214cf501f55d65efe3817e986987c007d10ce191072390223b5e4af92e9"),

@@ -21,7 +21,9 @@ from phasenoise import (
     member_seed,
     wiener_sigma,
 )
+from phasenoise.cli import run
 from phasenoise.timegen import (
+    _ArSource,
     load_stream_bin,
     load_stream_csv,
     save_stream_bin,
@@ -29,6 +31,8 @@ from phasenoise.timegen import (
     write_stream_bin,
     write_stream_csv,
 )
+
+import oracles
 
 # representative satellite-link oscillator: 10 Hz loop corner,
 # -88 dB at 100 kHz, -114 dB floor
@@ -153,6 +157,38 @@ class TestGenAr:
             gen_ar(c, 10, seed=0)
 
 
+class TestArScan:
+    """The block scan against ``lfilter`` on the same draws."""
+
+    @staticmethod
+    def _check(c, n, seed):
+        got = gen_ar(c, n, seed).samples
+        want = oracles.ar_stream_lfilter(c, n, seed)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.std(want)
+
+    @pytest.mark.parametrize("f3db_ts", [1e-7, 1e-4, 1e-2, 0.1])
+    def test_matches_lfilter(self, f3db_ts):
+        self._check(ar_coefficients(OscillatorParams(f3db=f3db_ts / 1e-7, l100_sq=SAT.l100_sq),
+                                    1e-7), 1 << 20, 31)
+
+    @pytest.mark.parametrize("a", [0.0, 0.1, 0.5, 0.9])
+    def test_hand_built_poles(self, a):
+        # a**-(L-1) would overflow at L = 1024 below a ~ 0.5; a shorter
+        # block (L = 1 at a = 0) keeps every sample finite, with no warning
+        c = ArCoefficients(a=a, sigma_u_sq=1.0, ts=1.0)
+        self._check(c, 100_000, 5)
+        # takes that straddle the shorter grids (281 at a = 0.1, 931 at 0.5)
+        source = _ArSource(c, 5)
+        got = np.concatenate([source.take(k) for k in (1, 280, 281, 930, 931, 1025, 96_552)])
+        assert np.array_equal(got, gen_ar(c, 100_000, 5).samples)
+
+    def test_huge_variance(self):
+        # sd ~ 1e33 rad at f3db*ts = 0.1: the block shortens so that the
+        # scaled innovations stay finite
+        self._check(ar_coefficients(OscillatorParams.from_db(1e6, 560.0), 1e-7), 100_000, 5)
+
+
 class TestGenWiener:
     def test_starts_at_zero_and_zero_variance(self):
         s = gen_wiener(0.0, 64, seed=3)
@@ -255,13 +291,24 @@ class TestGenComposite:
 
 
 class TestDumps:
-    def test_csv_roundtrip(self, tmp_path):
+    def test_csv_roundtrip(self, tmp_path, capsys):
         s = gen_wiener(1e-4, 256, seed=8)
         path = tmp_path / "stream.csv"
         save_stream_csv(s, path)
         assert path.read_text().splitlines()[0] == "k,theta_rad"
         back = load_stream_csv(path)
         assert np.array_equal(back, s.samples)
+        # both forms `gen` writes: the -o file and stdout, whose
+        # `# key=value` lines come before the header
+        argv = ["gen", "--f3db", "10", "--l100-db", "-88", "--ts", "1e-7", "--n", "100",
+                "--seed", "3"]
+        assert run(argv + ["-o", str(tmp_path / "file.csv")]) == 0
+        capsys.readouterr()
+        assert run(argv) == 0
+        (tmp_path / "stdout.csv").write_text(capsys.readouterr().out)
+        want = gen_composite(SAT_NOFLOOR, 1e-7, 100, 3).samples
+        for name in ("file.csv", "stdout.csv"):
+            assert np.array_equal(load_stream_csv(tmp_path / name), want)
 
     def test_binary_roundtrip(self, tmp_path):
         s = gen_composite(SAT, 1e-7, 512, seed=77)
@@ -338,7 +385,7 @@ class TestStreamingGenerator:
         assert np.array_equal(np.concatenate(blocks), whole.samples)
         assert gen.model == whole.model
 
-    @pytest.mark.parametrize("block", [1, 3, 7, 4096])
+    @pytest.mark.parametrize("block", [1, 3, 7, 1023, 1024, 1025, 4096])
     def test_fixed_block_sizes(self, block):
         model = self.MODELS["composite"]
         gen = CompositeGenerator(model, 1e-7, 11)
