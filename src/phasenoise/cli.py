@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Every subcommand writes a CSV (or JSON) artifact whose header records
-the package version, the resolved parameters, and the seed, so a run is
-reproducible from its own output; only a ``gen`` CSV file written with
-``-o`` holds the samples alone.  Exit codes: 0 success, 2 usage error,
-1 runtime error.
+Every subcommand writes a CSV (or JSON) artifact whose header records the
+package version, the resolved parameters, and the seed, so a run is
+reproducible from its own output; only a ``gen`` CSV file written with ``-o``
+holds the samples alone.  Tables and ``gen`` CSV stream block by block through
+``OutputWriter``.  Exit codes: 0 success, 2 usage error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ from .psd import composite_psd, phasor_psd, pn_autocorr, phasor_autocorr, threeg
 # gen_composite, save_stream_* and welch_psd stay module attributes:
 # perfbench/spans.py wraps them on this module
 from .spectral import WelchAccumulator, db, undb, welch_psd, compare_psd  # noqa: F401
-from .timegen import (CompositeGenerator, gen_composite, save_stream_bin,  # noqa: F401
-                      save_stream_csv, write_stream_bin, write_stream_csv)
+from .timegen import (CompositeGenerator, format_rows, gen_composite,  # noqa: F401
+                      open_text, save_stream_bin, save_stream_csv, stream_columns,
+                      write_csv, write_stream_bin)
 
-# samples drawn per block by gen and validate: their memory is bounded by
-# it, not by --n
+# rows per block of every table, and samples drawn per block by gen and
+# validate: their memory is bounded by it, not by --n
 _BLOCK = 1 << 16
 
 
@@ -45,79 +46,73 @@ _BLOCK = 1 << 16
 # output helpers
 
 class OutputWriter:
+    """Writes a table as CSV after ``# key=value`` lines for ``meta`` (in its
+    order), or as one JSON document, to stdout (no path, or "-") or a file."""
+
     def __init__(self, path: str | None, fmt: str, meta: dict):
         self.path = path
         self.fmt = fmt
         self.meta = meta
 
-    def write(self, columns: list[str], rows: list[list]) -> None:
-        if self.fmt == "json":
-            text = json.dumps({"meta": self.meta, "columns": columns,
-                               "rows": rows}, indent=2, sort_keys=True) + "\n"
-        else:
-            lines = [f"# {k}={v}" for k, v in sorted(self.meta.items())]
-            lines.append(",".join(columns))
-            for row in rows:
-                lines.append(",".join(_cell(v) for v in row))
-            text = "\n".join(lines) + "\n"
-        _emit(self.path, text)
-
-
-def _emit(path: str | None, text: str) -> None:
-    """Write ``text`` to stdout (no path, or "-") or to the file ``path``."""
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    def write(self, columns: list[str], blocks) -> None:
+        """Write the rows of ``blocks`` (see ``format_rows``) as they arrive."""
+        if self.fmt != "json":
+            return write_csv(self.path, self.meta, columns, blocks)
+        # json.dumps(..., indent=2, sort_keys=True) of the whole table, whose
+        # "rows" array sorts last and is written row by row
+        head = json.dumps({"columns": columns, "meta": self.meta, "rows": []},
+                          indent=2, sort_keys=True)
+        row = ",\n    [\n      " + ",\n      ".join(["%r"] * len(columns)) + "\n    ]"
+        tail, lead = "]\n}\n", 1  # no comma before the first row
+        with open_text(self.path) as fh:
+            fh.write(head[:-3])  # up to '"rows": ['
+            for text in format_rows(blocks, row):
+                fh.write(text[lead:].replace("nan", "NaN").replace("inf", "Infinity"))
+                tail, lead = "\n  ]\n}\n", 0
+            fh.write(tail)
 
 
 def _meta(args, **extra) -> dict:
+    """Tool, version, subcommand, resolved arguments and ``extra``, by key."""
     resolved = {k: v for k, v in sorted(vars(args).items())
                 if k not in ("func", "output", "format") and v is not None}
-    meta = {"tool": "phasenoise", "version": __version__,
-            "subcommand": args.subcommand,
-            "resolved_args": json.dumps(resolved, sort_keys=True)}
-    meta.update(extra)
-    return meta
+    meta = {"tool": "phasenoise", "version": __version__, "subcommand": args.subcommand,
+            "resolved_args": json.dumps(resolved, sort_keys=True), **extra}
+    return dict(sorted(meta.items()))
+
+
+def _write(args, columns: list[str], blocks, **meta) -> int:
+    """Write the table of ``blocks`` under the header ``_meta(args, **meta)``."""
+    OutputWriter(args.output, args.format, _meta(args, **meta)).write(columns, blocks)
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # model flags
 
-def _add_model_flags(p: argparse.ArgumentParser, threegpp: bool = False) -> None:
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f3db", type=float, help="corner frequency, Hz (0 = free-running)")
     p.add_argument("--l100-db", type=float, help="level at the reference offset, dB")
     p.add_argument("--linf-db", type=float, default=None, help="floor level, dB")
     p.add_argument("--f-ref", type=float, default=1e5, help="reference offset, Hz")
     p.add_argument("--process", action="append", default=None, metavar="F3DB,L100DB[,LINFDB]",
                    help="composite member (repeatable); overrides the single flags")
-    if threegpp:
-        p.add_argument("--threegpp-psd0-db", type=float, default=None,
-                       help="multi-pole/zero model: PSD0 level, dB")
-        p.add_argument("--threegpp-zero", action="append", default=None,
-                       metavar="FREQ,EXP", help="zero (repeatable)")
-        p.add_argument("--threegpp-pole", action="append", default=None,
-                       metavar="FREQ,EXP", help="pole (repeatable)")
+
+
+def _numbers(flag: str, form: str, sizes: tuple[int, ...], text: str) -> list[float]:
+    """The comma-separated numbers of one ``flag`` value, written as ``form``."""
+    parts = [float(x) for x in text.split(",")]
+    if len(parts) not in sizes:
+        raise ValueError(f"{flag} needs {form}: {text!r}")
+    return parts
 
 
 def _parse_model(args) -> CompositeModel:
     if args.process:
-        members = []
-        for spec_str in args.process:
-            parts = [float(x) for x in spec_str.split(",")]
-            if len(parts) not in (2, 3):
-                raise ValueError(f"--process needs F3DB,L100DB[,LINFDB]: {spec_str!r}")
-            linf = parts[2] if len(parts) == 3 else None
-            members.append(OscillatorParams.from_db(parts[0], parts[1], linf,
-                                                    f_ref=args.f_ref))
-        return CompositeModel(tuple(members))
+        return CompositeModel(tuple(
+            OscillatorParams.from_db(*_numbers("--process", "F3DB,L100DB[,LINFDB]", (2, 3), text),
+                                     f_ref=args.f_ref)
+            for text in args.process))
     if args.f3db is None or args.l100_db is None:
         raise ValueError("model required: --f3db/--l100-db or --process")
     return CompositeModel((OscillatorParams.from_db(
@@ -129,13 +124,11 @@ def _parse_threegpp(args) -> ThreeGppParams | None:
         return None
     if not args.threegpp_zero or not args.threegpp_pole:
         raise ValueError("--threegpp-psd0-db needs --threegpp-zero and --threegpp-pole")
-
-    def pairs(items):
-        return tuple(tuple(float(x) for x in it.split(",")) for it in items)
-
-    return ThreeGppParams(psd0=undb(args.threegpp_psd0_db),
-                          zeros=pairs(args.threegpp_zero),
-                          poles=pairs(args.threegpp_pole))
+    psd0 = undb(args.threegpp_psd0_db)
+    zeros, poles = (tuple(tuple(_numbers(flag, "FREQ,EXP", (2,), text)) for text in items)
+                    for flag, items in (("--threegpp-zero", args.threegpp_zero),
+                                        ("--threegpp-pole", args.threegpp_pole)))
+    return ThreeGppParams(psd0=psd0, zeros=zeros, poles=poles)
 
 
 def _model_meta(model: CompositeModel) -> str:
@@ -149,7 +142,17 @@ def _model_meta(model: CompositeModel) -> str:
 def _log_grid(fmin: float, fmax: float, n: int) -> np.ndarray:
     if not 0 < fmin <= fmax < math.inf:
         raise ValueError(f"need 0 < lo <= hi < inf, got {fmin!r}:{fmax!r}")
-    return np.logspace(math.log10(fmin), math.log10(fmax), n)
+    grid = np.linspace(math.log10(fmin), math.log10(fmax), n)
+    return np.power(10.0, grid, out=grid)  # np.logspace's values, in place
+
+
+def _table(n: int, rows):
+    """The columns ``rows(index)`` of an n-row table in blocks of ``_BLOCK`` rows.
+    Rows 0 and n-1 go first: each model term or factor is monotone in f or tau,
+    so one that fails anywhere fails there, before any row is written."""
+    if n:
+        rows([0, n - 1])
+    return (rows(slice(lo, lo + _BLOCK)) for lo in range(0, n, _BLOCK))
 
 
 # ---------------------------------------------------------------------------
@@ -159,44 +162,47 @@ def _log_grid(fmin: float, fmax: float, n: int) -> np.ndarray:
 def _cmd_psd(args) -> int:
     tg = _parse_threegpp(args)
     if tg is not None:
-        model_desc = f"threegpp,psd0_db={args.threegpp_psd0_db:g}"
+        meta = {"model": f"threegpp,psd0_db={args.threegpp_psd0_db:g}"}
         evaluate = lambda f: threegpp_psd(tg, f)
     else:
         model = _parse_model(args)
-        model_desc = _model_meta(model)
+        meta = {"model": _model_meta(model)}
         evaluate = lambda f: composite_psd(model, f)
 
-    def level_db(value, f) -> float:
+    def level_db(values, f) -> np.ndarray:
         # a term that overflowed or underflowed at an extreme f leaves 0, inf or nan
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"the PSD has no finite positive level at {f:g} Hz, in "
+        bad = ~((0.0 < values) & (values < math.inf))
+        if bad.any():
+            raise ValueError(f"the PSD has no finite positive level at {f[bad][0]:g} Hz, in "
                              f"the requested {freqs[0]:g} to {freqs[-1]:g} Hz")
-        return float(db(value))
+        return db(values)
 
-    meta = _meta(args, model=model_desc)
     columns = ["freq_hz", "psd_db"]
     if args.points:
         pts = load_points(args.points)
         freqs = pts[:, 0]
         columns.append("points_db")
-        rows = [[float(f), level_db(evaluate(f), f), float(lv)]
-                for f, lv in zip(freqs, pts[:, 1])]
     else:
         freqs = _log_grid(args.fmin, args.fmax, args.n)
-        rows = [[float(f), level_db(evaluate(f), f)] for f in freqs]
     if args.phasor:
         if tg is not None:
             raise ValueError("--phasor applies to oscillator models only")
         p0 = model.processes[0]
         if len(model.processes) != 1 or p0.linf_sq != 0:
             raise ValueError("--phasor needs a single floorless process")
-        vals = phasor_psd(p0, np.asarray([r[0] for r in rows]))
-        meta["phasor_delta_weight"] = repr(float(vals.delta_weight))
+        meta["phasor_delta_weight"] = repr(float(phasor_psd(p0, freqs[:0]).delta_weight))
         columns.append("phasor_db")
-        for row, c in zip(rows, np.atleast_1d(vals.continuous)):
-            row.append(level_db(c, row[0]))
-    OutputWriter(args.output, args.format, meta).write(columns, rows)
-    return 0
+
+    def rows(index):
+        f = freqs[index]
+        cols = [f, level_db(evaluate(f), f)]
+        if args.points:
+            cols.append(pts[index, 1])
+        if args.phasor:
+            cols.append(level_db(phasor_psd(p0, f).continuous, f))
+        return cols
+
+    return _write(args, columns, _table(freqs.size, rows), **meta)
 
 
 def _cmd_autocorr(args) -> int:
@@ -205,14 +211,14 @@ def _cmd_autocorr(args) -> int:
         raise ValueError("autocorr works on a single process")
     p = model.processes[0]
     taus = _log_grid(args.tau_min, args.tau_max, args.n)
-    rows = []
-    for t in taus:
-        r_pn = pn_autocorr(p, t) if p.f3db > 0 else float("nan")
-        rows.append([float(t), float(r_pn), float(phasor_autocorr(p, t))])
-    meta = _meta(args, model=_model_meta(model))
-    OutputWriter(args.output, args.format, meta).write(
-        ["tau_s", "pn_autocorr_rad2", "phasor_autocorr"], rows)
-    return 0
+
+    def rows(index):
+        t = taus[index]
+        return [t, pn_autocorr(p, t) if p.f3db > 0 else np.full(t.shape, math.nan),
+                phasor_autocorr(p, t)]
+
+    return _write(args, ["tau_s", "pn_autocorr_rad2", "phasor_autocorr"],
+                  _table(taus.size, rows), model=_model_meta(model))
 
 
 def _blocks(gen: CompositeGenerator, n: int):
@@ -232,12 +238,11 @@ def _cmd_gen(args) -> int:
             raise ValueError("--binary needs --output PATH")
         write_stream_bin(args.output, {"ts": args.ts, "seed": args.seed, "model": gen.model},
                          args.n, blocks)
-    elif to_stdout:
-        meta = {"tool": "phasenoise", "version": __version__, "model": _model_meta(model),
-                "ts": repr(args.ts), "seed": args.seed}
-        write_stream_csv(sys.stdout, meta, args.n, blocks)
-    else:
-        write_stream_csv(args.output, {}, args.n, blocks)
+        return 0
+    meta = {"tool": "phasenoise", "version": __version__, "model": _model_meta(model),
+            "ts": repr(args.ts), "seed": args.seed} if to_stdout else {}
+    OutputWriter(args.output, "csv", meta).write(["k", "theta_rad"],
+                                                 stream_columns(blocks, args.n))
     return 0
 
 
@@ -250,28 +255,20 @@ def _cmd_validate(args) -> int:
     est = acc.result()
     band = (10 * est.resolution, args.band_top_fraction / args.ts)
     cmp = compare_psd(est, lambda f: composite_psd(model, f), band=band)
-    meta = _meta(args, model=_model_meta(model), seed=args.seed, ts=repr(args.ts),
-                 n=args.n, segment_len=args.segment_len,
-                 band_hz=f"{band[0]:g}:{band[1]:g}",
-                 max_dev_db=f"{cmp.max_dev_db:.4f}",
-                 rms_dev_db=f"{cmp.rms_dev_db:.4f}",
-                 nonstationary=str(est.nonstationary))
-    rows = [[float(f), float(e), float(m), float(d)]
-            for f, e, m, d in zip(cmp.freqs, cmp.est_db, cmp.model_db, cmp.dev_db)]
-    OutputWriter(args.output, args.format, meta).write(
-        ["freq_hz", "est_db", "model_db", "dev_db"], rows)
-    return 0
+    return _write(args, ["freq_hz", "est_db", "model_db", "dev_db"],
+                  [[cmp.freqs, cmp.est_db, cmp.model_db, cmp.dev_db]],
+                  model=_model_meta(model), seed=args.seed, ts=repr(args.ts), n=args.n,
+                  segment_len=args.segment_len, band_hz=f"{band[0]:g}:{band[1]:g}",
+                  max_dev_db=f"{cmp.max_dev_db:.4f}", rms_dev_db=f"{cmp.rms_dev_db:.4f}",
+                  nonstationary=str(est.nonstationary))
 
 
 def _parse_sweep(text: str, default_n: int = 25) -> np.ndarray:
     parts = text.split(":")
-    if len(parts) == 2:
-        lo, hi, n = float(parts[0]), float(parts[1]), default_n
-    elif len(parts) == 3:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    else:
+    if len(parts) not in (2, 3):
         raise ValueError(f"sweep must be LO:HI[:N], got {text!r}")
-    return _log_grid(lo, hi, n)
+    lo, hi = float(parts[0]), float(parts[1])
+    return _log_grid(lo, hi, int(parts[2]) if len(parts) == 3 else default_n)
 
 
 def _cmd_errors(args) -> int:
@@ -279,28 +276,22 @@ def _cmd_errors(args) -> int:
         raise ValueError(f"--f3db must be finite and >= 0, got {args.f3db!r}")
     if args.sweep_rho:
         rhos = _parse_sweep(args.sweep_rho)
-        f3db = None
+    elif args.l100_db is None or args.ts is None:
+        raise ValueError("need --sweep-rho or --l100-db with --ts")
     else:
-        if args.l100_db is None or args.ts is None:
-            raise ValueError("need --sweep-rho or --l100-db with --ts")
         rhos = np.array([math.pi * args.f_ref ** 2 * undb(args.l100_db) * args.ts])
-        f3db = args.f3db
     columns = ["rho", "eta", "eta_d", "eta_isi", "sir_db"]
     # the aliasing column is the power-normalized ratio, not the absolute
-    # variance; it needs the corner frequency
-    with_alias = f3db is not None and f3db > 0 and args.ts is not None
+    # variance; it needs the corner frequency of one operating point
+    with_alias = bool(args.f3db) and not args.sweep_rho
     if with_alias:
         columns.append("alias_normalized")
-        params = OscillatorParams.from_db(f3db, args.l100_db, f_ref=args.f_ref)
-    rows = []
-    for r in rhos:
-        row = [float(r), eta(r), eta_d(r), eta_isi(r),
-               10.0 * math.log10(sir_from_rho(r))]
-        if with_alias:
-            row.append(normalized_aliasing(params, args.ts))
-        rows.append(row)
-    OutputWriter(args.output, args.format, _meta(args)).write(columns, rows)
-    return 0
+        params = OscillatorParams.from_db(args.f3db, args.l100_db, f_ref=args.f_ref)
+    cols = [rhos, *([f(r) for r in rhos] for f in (eta, eta_d, eta_isi)),
+            [10.0 * math.log10(sir_from_rho(r)) for r in rhos]]
+    if with_alias:
+        cols.append(np.full(rhos.size, normalized_aliasing(params, args.ts)))
+    return _write(args, columns, [cols])
 
 
 def _cmd_sir(args) -> int:
@@ -322,11 +313,9 @@ def _cmd_sir(args) -> int:
             # the closed form of the simulated taps, next to the sinc form
             pulse_db = 10.0 * math.log10(sir_for_pulse(beta, float(r), span, args.osf))
             rows.append([float(r), stats.sir_db, stats.sir_se_db, beta, closed_db, pulse_db])
-    meta = _meta(args, seed=args.seed, n_symbols=args.n_symbols, osf=args.osf,
-                 ts=repr(args.ts))
-    OutputWriter(args.output, args.format, meta).write(
-        ["rho", "sir_db", "se", "rolloff", "closed_form_db", "closed_form_pulse_db"], rows)
-    return 0
+    return _write(args, ["rho", "sir_db", "se", "rolloff", "closed_form_db",
+                         "closed_form_pulse_db"], [zip(*rows)],
+                  seed=args.seed, n_symbols=args.n_symbols, osf=args.osf, ts=repr(args.ts))
 
 
 def _cmd_ber(args) -> int:
@@ -350,13 +339,10 @@ def _cmd_ber(args) -> int:
                   file=sys.stderr)
         rows.append([esn0_db, stats.ber, stats.ber_se, stats.n_bits,
                      stats.n_errors, stats.ser, stats.evm_rms])
-    meta = _meta(args, seed=base.seed, n_symbols=base.n_symbols,
-                 constellation=base.constellation, rolloff=base.rolloff,
-                 pn_mode=base.pn_mode,
-                 model="none" if base.pn_model is None else _model_meta(base.pn_model))
-    OutputWriter(args.output, args.format, meta).write(
-        ["esn0_db", "ber", "se", "n_bits", "n_errors", "ser", "evm_rms"], rows)
-    return 0
+    return _write(args, ["esn0_db", "ber", "se", "n_bits", "n_errors", "ser", "evm_rms"],
+                  [zip(*rows)], seed=base.seed, n_symbols=base.n_symbols,
+                  constellation=base.constellation, rolloff=base.rolloff, pn_mode=base.pn_mode,
+                  model="none" if base.pn_model is None else _model_meta(base.pn_model))
 
 
 def _cmd_fit(args) -> int:
@@ -373,7 +359,8 @@ def _cmd_fit(args) -> int:
         "converged": result.converged,
         "flags": list(result.flags),
     }
-    _emit(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with open_text(args.output) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -386,42 +373,50 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def output(p):
+    def command(name: str, func, help: str, formats: bool = True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+        if formats:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(func=func)
+        return p
 
-    def common(p):
-        output(p)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    def link(p):
+        p.add_argument("--osf", type=int, default=5)
+        p.add_argument("--ts", type=float, default=1e-7)
+        p.add_argument("--n-symbols", type=int, default=200_000)
+        p.add_argument("--span", type=int, default=32)
+        p.add_argument("--seed", type=int, default=1)
 
-    p = sub.add_parser("psd", help="evaluate a PSD model over a frequency grid")
-    _add_model_flags(p, threegpp=True)
+    p = command("psd", _cmd_psd, "evaluate a PSD model over a frequency grid")
+    _add_model_flags(p)
+    p.add_argument("--threegpp-psd0-db", type=float, default=None,
+                   help="multi-pole/zero model: PSD0 level, dB")
+    p.add_argument("--threegpp-zero", action="append", default=None,
+                   metavar="FREQ,EXP", help="zero (repeatable)")
+    p.add_argument("--threegpp-pole", action="append", default=None,
+                   metavar="FREQ,EXP", help="pole (repeatable)")
     p.add_argument("--fmin", type=float, default=1.0)
     p.add_argument("--fmax", type=float, default=1e8)
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--points", default=None, help="point CSV to evaluate against")
     p.add_argument("--phasor", action="store_true",
                    help="add the phasor continuous density column")
-    common(p)
-    p.set_defaults(func=_cmd_psd)
 
-    p = sub.add_parser("autocorr", help="phase and phasor autocorrelation")
+    p = command("autocorr", _cmd_autocorr, "phase and phasor autocorrelation")
     _add_model_flags(p)
     p.add_argument("--tau-min", type=float, default=1e-9)
     p.add_argument("--tau-max", type=float, default=1e-1)
     p.add_argument("--n", type=int, default=200)
-    common(p)
-    p.set_defaults(func=_cmd_autocorr)
 
-    p = sub.add_parser("gen", help="generate a phase-noise sample stream")
+    p = command("gen", _cmd_gen, "generate a phase-noise sample stream", formats=False)
     _add_model_flags(p)
     p.add_argument("--ts", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--binary", action="store_true", help="binary dump instead of CSV")
-    output(p)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("validate", help="generator spectrum against the model")
+    p = command("validate", _cmd_validate, "generator spectrum against the model")
     _add_model_flags(p)
     p.add_argument("--ts", type=float, required=True)
     p.add_argument("--n", type=int, default=2 ** 22)
@@ -429,54 +424,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segment-len", type=int, default=2 ** 14)
     p.add_argument("--band-top-fraction", type=float, default=0.4,
                    help="upper band edge as a fraction of 1/ts")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("errors", help="closed-form symbol-rate error metrics")
+    p = command("errors", _cmd_errors, "closed-form symbol-rate error metrics")
     p.add_argument("--l100-db", type=float)
     p.add_argument("--ts", type=float)
     p.add_argument("--f3db", type=float, default=None,
                    help="corner for the normalized aliasing column")
     p.add_argument("--f-ref", type=float, default=1e5)
     p.add_argument("--sweep-rho", default=None, metavar="LO:HI[:N]")
-    common(p)
-    p.set_defaults(func=_cmd_errors)
 
-    p = sub.add_parser("sir", help="Monte-Carlo SIR sweep vs the closed form")
+    p = command("sir", _cmd_sir, "Monte-Carlo SIR sweep vs the closed form")
     rho = p.add_mutually_exclusive_group(required=True)
     rho.add_argument("--sweep-rho", default=None, metavar="LO:HI[:N]")
     rho.add_argument("--rho", default=None, help="comma list of rho values")
     p.add_argument("--rolloffs", default="0.05,0.1,0.5")
-    p.add_argument("--osf", type=int, default=5)
-    p.add_argument("--ts", type=float, default=1e-7)
-    p.add_argument("--n-symbols", type=int, default=200_000)
-    p.add_argument("--span", type=int, default=32)
-    p.add_argument("--seed", type=int, default=1)
-    common(p)
-    p.set_defaults(func=_cmd_sir)
+    link(p)
 
-    p = sub.add_parser("ber", help="Monte-Carlo BER over Es/N0")
+    p = command("ber", _cmd_ber, "Monte-Carlo BER over Es/N0")
     _add_model_flags(p)
     p.add_argument("--esn0-db", default="6,8,10", help="comma list, dB")
     p.add_argument("--constellation", choices=("qpsk", "qam16"), default="qpsk")
     p.add_argument("--rolloff", type=float, default=0.3)
-    p.add_argument("--osf", type=int, default=5)
-    p.add_argument("--ts", type=float, default=1e-7)
-    p.add_argument("--n-symbols", type=int, default=200_000)
+    link(p)
     p.add_argument("--pn", choices=("ct", "dt", "none"), default="none")
     p.add_argument("--pilot-len", type=int, default=36)
     p.add_argument("--pilot-period", type=int, default=1476)
-    p.add_argument("--span", type=int, default=32)
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--config", default=None, help="JSON link config (overrides flags)")
-    common(p)
-    p.set_defaults(func=_cmd_ber)
 
-    p = sub.add_parser("fit", help="fit process parameters to PSD points")
+    p = command("fit", _cmd_fit, "fit process parameters to PSD points", formats=False)
     p.add_argument("--points", required=True, help="CSV freq_hz,level_db")
     p.add_argument("--k", type=int, default=1, help="at most K processes")
-    output(p)
-    p.set_defaults(func=_cmd_fit)
 
     return top
 

@@ -27,10 +27,12 @@ and ``save_stream_csv``/``save_stream_bin`` are their one-block case.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,15 +53,19 @@ class ArCoefficients:
     a: float
     sigma_u_sq: float
     ts: float
-    stationary: bool = True
 
     def __post_init__(self):
         if not (0.0 <= self.a <= 1.0):
             raise ValueError(f"pole a must be in [0, 1], got {self.a}")
-        if self.sigma_u_sq < 0:
-            raise ValueError(f"sigma_u_sq must be >= 0, got {self.sigma_u_sq}")
-        if self.a == 1.0 and self.stationary:
-            raise ValueError("a=1 is the nonstationary random-walk mode")
+        if not 0.0 <= self.sigma_u_sq < math.inf:
+            raise ValueError(f"sigma_u_sq must be finite and >= 0, got {self.sigma_u_sq}")
+        if not math.isfinite(self.ts):
+            raise ValueError(f"ts must be finite, got {self.ts}")
+
+    @property
+    def stationary(self) -> bool:
+        """False for a = 1, the nonstationary random-walk mode."""
+        return self.a < 1.0
 
     @property
     def flags(self) -> tuple[str, ...]:
@@ -124,7 +130,7 @@ def ar_coefficients(params: OscillatorParams, ts: float) -> ArCoefficients:
                          f"(needs <= {F3DB_TS_MAX})")
     a = math.exp(-2.0 * math.pi * prod)
     sigma_u_sq = (math.pi * params.amp / params.f3db) * (-math.expm1(-4.0 * math.pi * prod))
-    return ArCoefficients(a=a, sigma_u_sq=sigma_u_sq, ts=ts, stationary=a < 1.0)
+    return ArCoefficients(a=a, sigma_u_sq=sigma_u_sq, ts=ts)
 
 
 def wiener_sigma(params: OscillatorParams, ts: float) -> float:
@@ -340,35 +346,54 @@ def gen_composite(model, ts: float, n: int, seed: int) -> PnStream:
     return _one_block(CompositeGenerator(model, ts, seed), n, ts, seed)
 
 
-# rows formatted per write by write_stream_csv; larger blocks raised the
+# rows formatted per write by format_rows; larger pieces raised the
 # peak RSS of a 1M-row write by 5 MB and were no faster
 _CSV_ROWS = 1 << 12
 
 
-def _check_count(written: int, n: int) -> None:
-    if written != n:
-        raise ValueError(f"stream blocks hold {written} samples, expected {n}")
+def open_text(dest):
+    """A context of text output: stdout for None or "-", a path, or an open text file."""
+    if isinstance(dest, (str, os.PathLike)) and dest != "-":
+        return open(dest, "w")
+    return contextlib.nullcontext(sys.stdout if dest is None or dest == "-" else dest)
+
+
+def format_rows(blocks, row: str):
+    """The rows of ``blocks`` (sequences of equal-length columns) as text, ``_CSV_ROWS``
+    rows a piece; ``row`` %-formats the ``tolist()`` cells of one row."""
+    for block in blocks:
+        cols = [np.asarray(c) for c in block]
+        for lo in range(0, len(cols[0]) if cols else 0, _CSV_ROWS):
+            part = [c[lo:lo + _CSV_ROWS].tolist() for c in cols]
+            cells = [None] * (len(part) * len(part[0]))
+            for j, values in enumerate(part):
+                cells[j::len(part)] = values
+            yield (row * len(part[0])) % tuple(cells)
+
+
+def write_csv(dest, meta: dict, columns: list[str], blocks) -> None:
+    """Write ``# key=value`` lines for ``meta`` in its order, the header line
+    and the rows of ``blocks`` (see ``format_rows``) to ``dest``."""
+    with open_text(dest) as fh:
+        fh.write("".join(f"# {k}={v}\n" for k, v in meta.items()) + ",".join(columns) + "\n")
+        fh.writelines(format_rows(blocks, ",".join(["%r"] * len(columns)) + "\n"))
+
+
+def stream_columns(blocks, n: int):
+    """The ``(k, theta)`` columns of the n samples of ``blocks``, ``k`` running
+    on across blocks; raises after the last block if they hold other than n."""
+    k = 0
+    for block in blocks:
+        yield np.arange(k, k + len(block)), block
+        k += len(block)
+    if k != n:
+        raise ValueError(f"stream blocks hold {k} samples, expected {n}")
 
 
 def write_stream_csv(dest, meta: dict, n: int, blocks) -> None:
-    """Write ``# key=value`` lines for ``meta``, then the n samples of
-    ``blocks`` as two-column CSV ``k,theta_rad``, to a path or an open
-    text file; ``k`` runs on across blocks."""
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w") as fh:
-            write_stream_csv(fh, meta, n, blocks)
-        return
-    dest.write("".join(f"# {k}={v}\n" for k, v in meta.items()) + "k,theta_rad\n")
-    k = 0
-    for block in blocks:
-        for lo in range(0, len(block), _CSV_ROWS):
-            theta = block[lo:lo + _CSV_ROWS].tolist()
-            rows = [None] * (2 * len(theta))
-            rows[::2] = range(k, k + len(theta))
-            rows[1::2] = theta
-            dest.write(("%d,%r\n" * len(theta)) % tuple(rows))
-            k += len(theta)
-    _check_count(k, n)
+    """Write ``# key=value`` lines for ``meta``, then the n samples of ``blocks``
+    as two-column CSV ``k,theta_rad``, to a path or an open text file."""
+    write_csv(dest, meta, ["k", "theta_rad"], stream_columns(blocks, n))
 
 
 def save_stream_csv(stream: PnStream, dest) -> None:
@@ -388,14 +413,11 @@ def write_stream_bin(path, meta: dict, n: int, blocks) -> None:
     """Binary dump: magic line, JSON header line (``meta`` with ``n`` and
     ``dtype``), then the n samples of ``blocks`` as little-endian float64."""
     header = {**meta, "n": n, "dtype": "<f8"}
-    written = 0
     with open(path, "wb") as fh:
         fh.write(_BIN_MAGIC)
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        for block in blocks:
+        for _, block in stream_columns(blocks, n):  # raises unless they hold n samples
             fh.write(np.ascontiguousarray(block, dtype="<f8"))
-            written += len(block)
-    _check_count(written, n)
 
 
 def save_stream_bin(stream: PnStream, path) -> None:

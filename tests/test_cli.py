@@ -13,8 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import phasenoise
-from phasenoise import (OscillatorParams, __version__, cli, gen_composite, load_points, pn_psd,
-                        save_points, sir_for_pulse, timegen)
+from phasenoise import (OscillatorParams, ThreeGppParams, __version__, cli, db, gen_composite,
+                        load_points, pn_psd, save_points, sir_for_pulse, threegpp_psd, timegen,
+                        undb)
 from phasenoise.cli import run
 from phasenoise.timegen import load_stream_bin
 
@@ -130,17 +131,33 @@ class TestPsd:
         f0, v0 = (float(x) for x in rows[0].split(","))
         assert v0 == pytest.approx(10 * math.log10(pn_psd(p, f0)), abs=1e-9)
 
+    THREEGPP = ["--threegpp-psd0-db", "35.65257",
+                "--threegpp-zero", "3e3,2.37", "--threegpp-zero", "451e3,2.7",
+                "--threegpp-zero", "458e6,2.53",
+                "--threegpp-pole", "1,3.3", "--threegpp-pole", "1.54e6,3.3",
+                "--threegpp-pole", "30e6,1"]
+
     def test_threegpp(self, capsys):
         code, out, _ = run_capture(capsys, [
-            "psd", "--threegpp-psd0-db", "35.65257",
-            "--threegpp-zero", "3e3,2.37", "--threegpp-zero", "451e3,2.7",
-            "--threegpp-zero", "458e6,2.53",
-            "--threegpp-pole", "1,3.3", "--threegpp-pole", "1.54e6,3.3",
-            "--threegpp-pole", "30e6,1",
-            "--fmin", "1", "--fmax", "1", "--n", "1"])
+            "psd", *self.THREEGPP, "--fmin", "1", "--fmax", "1", "--n", "1"])
         assert code == 0
         row = data_section(out).splitlines()[1]
         assert float(row.split(",")[1]) == pytest.approx(32.64, abs=0.01)
+
+    def test_threegpp_column_is_the_array_evaluation(self, capsys):
+        # the column is db(threegpp_psd) of the grid's array, bit for bit; one
+        # 0-d evaluation per row differs in the last bit at some of these points
+        code, out, _ = run_capture(capsys, [
+            "psd", *self.THREEGPP, "--fmin", "10", "--fmax", "1e9", "--n", "500"])
+        assert code == 0
+        rows = np.array([[float(x) for x in ln.split(",")]
+                         for ln in data_section(out).splitlines()[1:]])
+        tg = ThreeGppParams(psd0=undb(35.65257),
+                            zeros=((3e3, 2.37), (451e3, 2.7), (458e6, 2.53)),
+                            poles=((1.0, 3.3), (1.54e6, 3.3), (30e6, 1.0)))
+        grid = np.logspace(1, 9, 500)
+        assert np.array_equal(rows[:, 0], grid)
+        assert np.array_equal(rows[:, 1], db(threegpp_psd(tg, grid)))
 
     def test_points_column(self, capsys, tmp_path):
         pts = np.array([[10.0, -20.0], [1e3, -40.0], [1e5, -88.0], [1e7, -114.0]])
@@ -210,7 +227,11 @@ def test_every_model_header_flags_a_high_corner(capsys, argv):
       "--threegpp-pole", "30e6,1", "--fmax", "1e100"],
      "Hz, in the requested 1 to 1e+100 Hz"),
     (["psd", "--f3db", "0", "--l100-db", "-88", "--fmin", "1e-200", "--fmax", "1", "--n", "2"],
-     "no finite positive level at 1e-200 Hz, in the requested 1e-200 to 1 Hz")])
+     "no finite positive level at 1e-200 Hz, in the requested 1e-200 to 1 Hz"),
+    (["psd", "--threegpp-psd0-db", "35", "--threegpp-zero", "3e3", "--threegpp-pole", "1,3.3"],
+     "--threegpp-zero needs FREQ,EXP: '3e3'"),
+    (["psd", "--threegpp-psd0-db", "35", "--threegpp-zero", "3e3,2.37",
+      "--threegpp-pole", "3e3,2,1"], "--threegpp-pole needs FREQ,EXP: '3e3,2,1'")])
 def test_non_finite_argument_is_one_error_line(capsys, tmp_path, argv, names):
     config = tmp_path / "cfg.json"
     config.write_text('{"ts": Infinity, "n_symbols": 2000}')
@@ -223,6 +244,38 @@ def test_non_finite_argument_is_one_error_line(capsys, tmp_path, argv, names):
     assert err.count("\n") == 1 and err.startswith("phasenoise: error: ")
     assert names in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["psd", "--f3db", "10", "--l100-db", "-88", "--n", "50", "--phasor"],
+    ["psd", "--f3db", "10", "--l100-db", "-88", "--linf-db", "-114", "--points", "POINTS"],
+    ["psd", "--f3db", "10", "--l100-db", "-88", "--n", "0"],
+    ["autocorr", "--f3db", "10", "--l100-db", "-88", "--n", "50"],
+    ["autocorr", "--f3db", "0", "--l100-db", "-88", "--n", "50"],
+    ["errors", "--sweep-rho", "1e-4:1e-1:9"]],
+    ids=["psd_phasor", "psd_points", "psd_empty", "autocorr_pll", "autocorr_free_running",
+         "errors_sweep"])
+def test_table_bytes_independent_of_block(capsys, tmp_path, monkeypatch, argv):
+    # the same bytes in blocks of 7 rows formatted 3 at a time, to stdout and
+    # to a file; a JSON table, NaN cells and empty rows included, is the
+    # json.dumps(..., indent=2, sort_keys=True) of its own document
+    points = tmp_path / "pts.csv"
+    save_points(np.column_stack([np.logspace(1, 8, 40), np.linspace(-20, -114, 40)]), points)
+    argv = [str(points) if a == "POINTS" else a for a in argv]
+    outs = {}
+    for block, rows in ((cli._BLOCK, timegen._CSV_ROWS), (7, 3)):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        monkeypatch.setattr(timegen, "_CSV_ROWS", rows)
+        for fmt in ("csv", "json"):
+            code, out, _ = run_capture(capsys, [*argv, "--format", fmt])
+            assert code == 0
+            path = tmp_path / f"{block}.{fmt}"
+            assert run([*argv, "--format", fmt, "-o", str(path)]) == 0
+            assert path.read_text() == out
+            outs.setdefault(fmt, set()).add(out)
+    assert len(outs["csv"]) == len(outs["json"]) == 1
+    (text,) = outs["json"]
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 class TestGen:
@@ -346,6 +399,16 @@ def test_gen_and_validate_memory_bounded_by_block(tmp_path):
                                ("gen", 1, ["--binary", "-o", str(tmp_path / "g.bin")])):
         base = _child_max_rss_mb([cmd, *flags, "--n", str(smallest), *out])
         assert _child_max_rss_mb([cmd, *flags, "--n", str(2 ** 22), *out]) - base < 40.0, cmd
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_psd_table_memory_bounded_by_block(tmp_path):
+    # a million rows, against a thousand: the grid (8 MB) and one block of
+    # rows remain, where a whole-table writer holds 331 MB more
+    argv = ["psd", "--f3db", "10", "--l100-db", "-88", "-o", str(tmp_path / "psd.out")]
+    for fmt in ("csv", "json"):
+        base = _child_max_rss_mb([*argv, "--format", fmt, "--n", "1000"])
+        assert _child_max_rss_mb([*argv, "--format", fmt, "--n", "1000000"]) - base < 40.0, fmt
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")

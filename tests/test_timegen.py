@@ -82,8 +82,17 @@ class TestArCoefficients:
     def test_type_invariants(self):
         with pytest.raises(ValueError):
             ArCoefficients(a=1.2, sigma_u_sq=1.0, ts=1.0)
-        with pytest.raises(ValueError):
-            ArCoefficients(a=1.0, sigma_u_sq=1.0, ts=1.0, stationary=True)
+        assert not ArCoefficients(a=1.0, sigma_u_sq=1.0, ts=1.0).stationary
+        assert ArCoefficients(a=0.5, sigma_u_sq=1.0, ts=0.0).stationary
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma_u_sq", math.nan), ("sigma_u_sq", math.inf), ("sigma_u_sq", -1.0),
+        ("ts", math.nan), ("ts", math.inf), ("ts", -math.inf)])
+    def test_non_finite_fields_rejected(self, field, value):
+        # gen_ar would turn a NaN innovation variance into a stream of NaNs
+        kwargs = {"a": 0.5, "sigma_u_sq": 1.0, "ts": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ArCoefficients(**kwargs)
 
 
 class TestWienerSigma:
@@ -152,7 +161,7 @@ class TestGenAr:
         assert abs(th0.var(ddof=1) - var) < 3 * se_var
 
     def test_random_walk_pole_rejected(self):
-        c = ArCoefficients(a=1.0, sigma_u_sq=1.0, ts=1.0, stationary=False)
+        c = ArCoefficients(a=1.0, sigma_u_sq=1.0, ts=1.0)
         with pytest.raises(ValueError, match="gen_wiener"):
             gen_ar(c, 10, seed=0)
 
