@@ -6,6 +6,8 @@ import csv
 
 import numpy as np
 
+from .timegen import write_csv
+
 
 def load_points(path) -> np.ndarray:
     """Read a (n, 2) array of (frequency Hz, level dB) rows.
@@ -46,9 +48,6 @@ def validate_points(points: np.ndarray) -> np.ndarray:
 
 
 def save_points(points: np.ndarray, path) -> None:
+    """Write the points as ``freq_hz,level_db`` CSV through ``timegen.write_csv``."""
     pts = validate_points(points)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "level_db"])
-        for f, lv in pts:
-            writer.writerow([repr(float(f)), repr(float(lv))])
+    write_csv(path, {}, ["freq_hz", "level_db"], [(pts[:, 0], pts[:, 1])])

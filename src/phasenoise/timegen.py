@@ -1,24 +1,25 @@
 """Seedable discrete-time phase-noise sample generators.
 
-The close-to-carrier process sampled at period Ts is the stationary
-AR(1) recursion
+The close-to-carrier process sampled at period Ts is the AR(1)
+recursion
 
     theta_k = a * theta_{k-1} + u_k,
     a = exp(-2*pi*f3db*Ts),
     var(u_k) = (pi*amp/f3db) * (1 - exp(-4*pi*f3db*Ts)),
 
-which reduces to the Wiener random walk with increment variance
-4*pi^2*amp*Ts as f3db -> 0.  The white floor contributes i.i.d. samples
-of variance linf_sq/Ts.  Streams are generated with numpy's PCG64
-generator (seeded 64-bit, documented algorithm, ziggurat normals);
-identical (model, ts, n, seed) inputs regenerate bit-identical output.
-The AR(1) recursion is a numpy scan (``_ArScan``) on a fixed grid of
-absolute 1024-sample blocks: within a block each sample is a**j times
-a cumulative sum of the block's innovations scaled by a**-j, and a
-block starts from the last sample of the one before.  The grid is fixed
-by the sample index, not by the take, so the bits do not depend on
-how the stream is split; they agree with a direct-form recursion to
-about 1e-13 of the stream's standard deviation.
+stationary for f3db > 0; its f3db -> 0 limit, a = 1 with increment
+variance 4*pi^2*amp*Ts, is the Wiener random walk of a free-running
+oscillator.  The white floor contributes i.i.d. samples of variance
+linf_sq/Ts.  Streams are generated with numpy's PCG64 generator (seeded
+64-bit, documented algorithm, ziggurat normals); identical (model, ts,
+n, seed) inputs regenerate bit-identical output.  The AR(1) recursion
+is a numpy scan (``_ArScan``) on a fixed grid of absolute 1024-sample
+blocks: within a block each sample is a**j times a cumulative sum of
+the block's innovations scaled by a**-j, and a block starts from the
+last sample of the one before.  The grid is fixed by the sample index,
+not by the take, so the bits do not depend on how the stream is split;
+they agree with a direct-form recursion to about 1e-13 of the stream's
+standard deviation.
 ``CompositeGenerator`` produces the same stream block by block, with
 the same bits at any block size; ``gen_composite`` is its one-block case.
 The CSV and binary writers take an iterable of blocks in the same way,
@@ -77,8 +78,6 @@ class ArCoefficients:
         """sigma_u_sq / (1 - a^2); the process variance when stationary."""
         if self.a == 1.0:
             raise ValueError("random-walk mode has no stationary variance")
-        if self.sigma_u_sq == 0.0:
-            return 0.0
         return self.sigma_u_sq / (1.0 - self.a * self.a)
 
 
@@ -118,10 +117,11 @@ def ar_coefficients(params: OscillatorParams, ts: float) -> ArCoefficients:
     """AR(1) pole and innovation variance for sampling period ts.
 
     Valid for f3db*ts << 1: flagged above 0.01 (``flags``), refused above 0.1.
-    The implied stationary variance equals pi*amp/f3db exactly.
+    The implied stationary variance equals pi*amp/f3db exactly.  For f3db = 0
+    it is the random walk, a = 1 with ``sigma_u_sq = wiener_sigma(params, ts)``.
     """
     if params.f3db == 0.0:
-        raise ValueError("free-running oscillator: use wiener_sigma / gen_wiener")
+        return ArCoefficients(a=1.0, sigma_u_sq=wiener_sigma(params, ts), ts=ts)
     if ts < 0:
         raise ValueError("ts must be >= 0")
     prod = params.f3db * ts
@@ -155,17 +155,19 @@ class _ArScan:
     Samples fall on a fixed grid of absolute blocks of L samples.  In a
     block that starts at sample b, with carry c = y[b-1],
 
-        y[b+j] = a**j * (a*c + cumsum(x[b:] * a**-j)[j]),
+        y[b+j] = a**j * (a*c + cumsum(x[b:] * a**-j)[j]).
 
-    and the running sum of the open block and the carry are kept between
-    calls, so every sample is the same sequence of float operations
-    whatever the piece sizes.  ``scale`` is the standard deviation of x.
-    L is 1024, or less where a**-(L-1) * scale would pass 1e280, which
-    leaves a factor 1e28 for the tail of x and the block's cumsum before
-    float64 overflows.  The block shortens only near the model's limit
-    f3db*Ts = 0.1 (a = 0.53, a**-1023 = 1.3e279) with a scale above 1,
-    below that pole (a hand-built ``ArCoefficients``), or at a scale
-    that float64 can barely hold; a = 0 gives L = 1.
+    The carry and the open block's inputs are kept between calls, and a
+    call recomputes that block; a row's cumsum is sequential, so every
+    sample is the same float operations whatever the piece sizes.  At
+    a = 1 the tables are ones and their multiplies are skipped.
+    ``scale`` is the standard deviation of x.  L is 1024, or less where
+    a**-(L-1) * scale would pass 1e280, which leaves a factor 1e28 for
+    the tail of x and the block's cumsum before float64 overflows.  The
+    block shortens only near the model's limit f3db*Ts = 0.1 (a = 0.53,
+    a**-1023 = 1.3e279) with a scale above 1, below that pole (a
+    hand-built ``ArCoefficients``), or at a scale that float64 can
+    barely hold; a = 0 gives L = 1.
     """
 
     def __init__(self, a: float, scale: float = 1.0):
@@ -176,26 +178,21 @@ class _ArScan:
             size = 1024 if a == 1.0 else 1
         self.a = a
         self.up, self.down = _scan_tables(a, size)
-        self.pos = 0      # samples of the open block already produced
-        self.carry = 0.0  # last output before the open block
-        self.run = 0.0    # cumsum of the open block so far
+        self.carry = 0.0            # last output before the open block
+        self.held = np.empty(0)     # inputs of the open block so far
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        size, pos, n = self.up.size, self.pos, len(x)
-        rows = -(-(pos + n) // size)
-        # one grid row per block; a take inside one block spans only its
-        # own columns and the running sum's
-        lo, hi = (max(pos - 1, 0), pos + n) if rows == 1 else (0, size)
-        buf = np.zeros(rows * (hi - lo))
-        buf[pos - lo:pos - lo + n] = x
-        grid = buf.reshape(rows, hi - lo)
-        grid *= self.down[lo:hi]
-        if pos:
-            grid[0, pos - 1 - lo] = self.run
+        size, head = self.up.size, self.held.size
+        end = head + len(x)
+        full, rows = end // size, -(-end // size)
+        buf = np.zeros(rows * size)
+        buf[:head] = self.held
+        buf[head:end] = x
+        self.held = buf[full * size:end].copy()
+        grid = buf.reshape(rows, size)
+        if self.a != 1.0:
+            grid *= self.down
         np.cumsum(grid, axis=1, out=grid)
-        full, self.pos = divmod(pos + n, size)
-        if self.pos:
-            self.run = float(grid[full, self.pos - 1 - lo])
         # each full block's last output, by the grid's own operations below
         start = np.empty(rows)
         a, last, c = self.a, float(self.up[-1]), self.carry
@@ -206,65 +203,38 @@ class _ArScan:
             start[full] = a * c
         self.carry = c
         grid += start[:, None]
-        grid *= self.up[lo:hi]
-        return buf[pos - lo:pos - lo + n]
+        if self.a != 1.0:
+            grid *= self.up
+        return buf[head:end]
 
 
 class _ArSource:
     """AR(1) recursion drawn block by block through one ``_ArScan``.
 
-    Every take continues the scan's fixed grid of absolute blocks, so
-    the stream has the same bits whatever the take sizes.
+    theta_0 is drawn from the stationary distribution, or is 0 without a
+    draw at a = 1 (the random walk).  Every take continues the scan's
+    fixed grid of blocks, so the bits do not depend on the take sizes.
     """
 
     def __init__(self, coeffs: ArCoefficients, seed: int):
-        if coeffs.a >= 1.0:
-            raise ValueError("a=1 is the random-walk mode: use gen_wiener")
-        self.coeffs = coeffs
+        self.stationary = coeffs.stationary
+        self.sd0 = math.sqrt(coeffs.stationary_variance) if self.stationary else 0.0
+        self.sd = math.sqrt(coeffs.sigma_u_sq)
         self.rng = np.random.default_rng(seed)
-        self.scan = _ArScan(coeffs.a, math.sqrt(coeffs.stationary_variance))
-        self.started = False
-        self.model = {"kind": "ar", "a": coeffs.a, "sigma_u_sq": coeffs.sigma_u_sq}
+        self.scan = _ArScan(coeffs.a, self.sd0)
+        self.head = 1  # until theta_0 is drawn
+        self.model = ({"kind": "ar", "a": coeffs.a, "sigma_u_sq": coeffs.sigma_u_sq}
+                      if self.stationary else {"kind": "wiener", "sigma_u_sq": coeffs.sigma_u_sq})
 
     def take(self, n: int) -> np.ndarray:
         if n == 0:
             return np.empty(0)
         drive = np.empty(n)
-        head = 0
-        if not self.started:  # theta_0 first, from the stationary distribution
-            drive[0] = self.rng.normal(0.0, math.sqrt(self.coeffs.stationary_variance))
-            head = 1
-            self.started = True
-        drive[head:] = self.rng.normal(0.0, math.sqrt(self.coeffs.sigma_u_sq), n - head)
+        if self.head:  # theta_0 first
+            drive[0] = self.rng.normal(0.0, self.sd0) if self.stationary else 0.0
+        drive[self.head:] = self.rng.normal(0.0, self.sd, n - self.head)
+        self.head = 0
         return self.scan(drive)
-
-
-class _WienerSource:
-    """Random walk drawn block by block.
-
-    The running total is prepended to each block's cumsum rather than
-    added afterwards, so every sample is the same left-to-right sum at
-    any block size.
-    """
-
-    def __init__(self, sigma_u_sq: float, seed: int):
-        if not 0.0 <= sigma_u_sq < math.inf:
-            raise ValueError(f"sigma_u_sq must be finite and >= 0, got {sigma_u_sq}")
-        self.sd = math.sqrt(sigma_u_sq)
-        self.rng = np.random.default_rng(seed)
-        self.total = None
-        self.model = {"kind": "wiener", "sigma_u_sq": sigma_u_sq}
-
-    def take(self, n: int) -> np.ndarray:
-        if n == 0:
-            return np.empty(0)
-        first = self.total is None
-        buf = np.empty(n if first else n + 1)
-        buf[0] = 0.0 if first else self.total  # theta_0 = 0
-        buf[1:] = self.rng.normal(0.0, self.sd, buf.size - 1)
-        np.cumsum(buf, out=buf)
-        self.total = buf[-1]
-        return buf if first else buf[1:]
 
 
 class _FloorSource:
@@ -290,18 +260,20 @@ def _one_block(source, n: int, ts: float, seed: int) -> PnStream:
 
 
 def gen_ar(coeffs: ArCoefficients, n: int, seed: int) -> PnStream:
-    """Stationary AR(1) stream of n samples.
+    """AR(1) stream of n samples.
 
-    theta_0 is drawn from the stationary distribution
+    For a < 1, theta_0 is drawn from the stationary distribution
     N(0, sigma_u_sq/(1-a^2)) so the stream is stationary from its first
     sample; the draw order is theta_0 first, then the n-1 innovations.
+    At a = 1 the stream is the random walk of ``gen_wiener``.
     """
     return _one_block(_ArSource(coeffs, seed), n, coeffs.ts, seed)
 
 
 def gen_wiener(sigma_u_sq: float, n: int, seed: int, ts: float = 0.0) -> PnStream:
-    """Random-walk stream: theta_0 = 0, increments i.i.d. N(0, sigma_u_sq)."""
-    return _one_block(_WienerSource(sigma_u_sq, seed), n, ts, seed)
+    """Random-walk stream, the AR(1) source at a = 1: theta_0 = 0,
+    increments i.i.d. N(0, sigma_u_sq)."""
+    return _one_block(_ArSource(ArCoefficients(1.0, sigma_u_sq, ts), seed), n, ts, seed)
 
 
 def gen_white_floor(linf_sq: float, ts: float, n: int, seed: int) -> PnStream:
@@ -312,22 +284,20 @@ def gen_white_floor(linf_sq: float, ts: float, n: int, seed: int) -> PnStream:
 class CompositeGenerator:
     """Composite phase-noise stream produced block by block.
 
-    Each member contributes its close-to-carrier stream (AR for
-    f3db > 0, random walk for f3db = 0) seeded with member_seed(seed, 2i)
-    and, when linf_sq > 0, a white-floor stream seeded with
-    member_seed(seed, 2i + 1).  Successive ``take(n)`` calls continue the
-    stream: their concatenation is bit-identical to one ``take`` of the
-    total length, whatever the block sizes.
+    Each member contributes its AR(1) stream (``ar_coefficients``; the
+    random walk for f3db = 0) seeded with member_seed(seed, 2i) and, when
+    linf_sq > 0, a white-floor stream seeded with member_seed(seed, 2i + 1).
+    Successive ``take(n)`` calls continue the stream: their concatenation
+    is bit-identical to one ``take`` of the total length, whatever the
+    block sizes.
     """
 
     def __init__(self, model, ts: float, seed: int):
+        if not ts > 0:
+            raise ValueError(f"ts must be > 0, got {ts}")
         self.sources = []
         for i, p in enumerate(as_composite(model).processes):
-            s_core = member_seed(seed, 2 * i)
-            if p.f3db == 0.0:
-                self.sources.append(_WienerSource(wiener_sigma(p, ts), s_core))
-            else:
-                self.sources.append(_ArSource(ar_coefficients(p, ts), s_core))
+            self.sources.append(_ArSource(ar_coefficients(p, ts), member_seed(seed, 2 * i)))
             if p.linf_sq > 0.0:
                 self.sources.append(_FloorSource(p.linf_sq, ts, member_seed(seed, 2 * i + 1)))
         self.model = {"kind": "composite", "members": [s.model for s in self.sources]}

@@ -157,13 +157,13 @@ def ar_stream_lfilter(coeffs, n: int, seed: int) -> np.ndarray:
     """``gen_ar(coeffs, n, seed).samples`` filtered by ``scipy.signal.lfilter``.
 
     The same draws in the same order (theta_0 from the stationary
-    distribution, then n - 1 innovations), through the direct-form
-    recursion theta_k = a theta_{k-1} + u_k in place of the library's
-    block scan.
+    distribution, or 0 without a draw at a = 1, then n - 1 innovations),
+    through the direct-form recursion theta_k = a theta_{k-1} + u_k in
+    place of the library's block scan.
     """
     rng = np.random.default_rng(seed)
     drive = np.empty(n)
-    drive[0] = rng.normal(0.0, math.sqrt(coeffs.stationary_variance))
+    drive[0] = rng.normal(0.0, math.sqrt(coeffs.stationary_variance)) if coeffs.a < 1 else 0.0
     drive[1:] = rng.normal(0.0, math.sqrt(coeffs.sigma_u_sq), n - 1)
     return lfilter([1.0], [1.0, -coeffs.a], drive)
 

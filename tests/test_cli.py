@@ -92,6 +92,23 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--f3db", "10", "--l100-db", "-88", "--ts", "0", "--n", "3"],
+        ["gen", "--f3db", "0", "--l100-db", "-88", "--ts", "0", "--n", "3"],
+        ["validate", "--f3db", "10", "--l100-db", "-88", "--ts", "0"]],
+        ids=["gen_pll", "gen_free_running", "validate"])
+    def test_zero_ts_is_1(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == "phasenoise: error: ts must be > 0, got 0.0\n"
+
+    def test_pole_rounding_to_one_is_a_random_walk(self, capsys):
+        # f3db*ts = 1e-299 rounds the pole to 1.0: the f3db*ts -> 0 limit runs
+        code, _, err = run_capture(capsys, ["ber", "--pn", "dt", "--f3db", "10", "--l100-db",
+                                            "-88", "--ts", "1e-300", "--n-symbols", "100"])
+        assert code == 0 and err == ""
+
     def test_success_is_0(self, capsys):
         code, out, _ = run_capture(
             capsys, ["errors", "--l100-db", "-88", "--ts", "1e-7"])
@@ -558,6 +575,17 @@ class TestFit:
         assert payload["residual_rms_db"] < 0.1
         assert payload["params"][0]["f3db"] == pytest.approx(2e3, rel=0.5)
 
+    def test_points_file_bytes(self, tmp_path):
+        # the one CSV formatter: "\n" line ends and repr cells, read back bit for bit
+        pts = np.column_stack([np.logspace(1, 8, 37), -88.0 - np.linspace(0.0, 40.0, 37) / 3])
+        path = tmp_path / "pts.csv"
+        save_points(pts, path)
+        body = path.read_bytes()
+        assert b"\r" not in body
+        assert body == ("freq_hz,level_db\n"
+                        + "".join(f"{f!r},{lv!r}\n" for f, lv in pts.tolist())).encode()
+        assert np.array_equal(load_points(path), pts)
+
     @pytest.mark.parametrize("row, text", [
         (2, "nan,-90.0"), (3, "1000.0,nan"), (4, "10000.0,-inf")],
         ids=["nan_frequency", "nan_level", "inf_level"])
@@ -598,7 +626,7 @@ class TestFit:
     # 7 unwrap flags at each Es/N0
     (["ber", "--pn", "dt", "--f3db", "0", "--l100-db", "-62", "--n-symbols", "20000",
       "--esn0-db", "10,20", "--seed", "3"],
-     "44a010f139f5fe6e911bdbb84098deaaf1f2763b596bc37b082ddfd06d296a67"),
+     "28caa09317bdd24b8b321b3ccd0f380534cbfefd0623daec236b8bcce0602d60"),
     (["ber", "--pn", "ct", "--f3db", "10", "--l100-db", "-88", "--linf-db", "-114",
       "--n-symbols", "20000", "--esn0-db", "8", "--seed", "5"],
      "bf86d3dc74e002f7348bc783c31f643733b652ac30abd020a3097dea7f279a8a"),
@@ -613,7 +641,7 @@ class TestFit:
      "6bcba214cf501f55d65efe3817e986987c007d10ce191072390223b5e4af92e9"),
     # a random walk: the estimate is flagged nonstationary
     (["validate", "--f3db", "0", "--l100-db", "-100", "--ts", "1e-7", "--n", "65536"],
-     "b4b872206d9c207b7ea2129652389fe8076a51aadd7f8a3ede0aceec197e4000"),
+     "70a91f2fbb63fe8d9c7756382400b9aaaf6a61415ac6f5be9ffbb63c5cc8872b"),
 ], ids=["errors_sweep", "errors_alias", "psd_phasor", "fit_k2", "fit_k1_free_running",
         "ber_dt_unwrap", "ber_ct", "ber_none", "ber_qam16_dt", "ber_qam16_ct",
         "validate_nonstationary"])

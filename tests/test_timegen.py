@@ -75,9 +75,19 @@ class TestArCoefficients:
         with pytest.raises(ValueError, match="validity"):
             ar_coefficients(SAT, 0.2 / SAT.f3db)
 
-    def test_free_running_redirects(self):
-        with pytest.raises(ValueError, match="wiener"):
-            ar_coefficients(OscillatorParams.from_db(0.0, -88.0), 1e-7)
+    def test_free_running_is_the_random_walk(self):
+        free = OscillatorParams.from_db(0.0, -88.0)
+        assert ar_coefficients(free, 1e-7) == ArCoefficients(1.0, wiener_sigma(free, 1e-7), 1e-7)
+
+    def test_pole_rounding_to_one_is_the_random_walk(self):
+        # f3db*ts = 1e-299: a rounds to 1.0 and the innovation variance is
+        # the f3db*ts -> 0 limit, the random-walk increment variance
+        c = ar_coefficients(SAT_NOFLOOR, 1e-300)
+        assert c.a == 1.0 and not c.stationary
+        assert c.sigma_u_sq == wiener_sigma(SAT_NOFLOOR, 1e-300)
+        assert c.sigma_u_sq == pytest.approx(6.2569e-298, rel=1e-4)
+        walk = gen_wiener(wiener_sigma(SAT_NOFLOOR, 1e-300), 3000, member_seed(8, 0))
+        assert np.array_equal(gen_composite(SAT_NOFLOOR, 1e-300, 3000, 8).samples, walk.samples)
 
     def test_type_invariants(self):
         with pytest.raises(ValueError):
@@ -160,10 +170,12 @@ class TestGenAr:
         se_var = var * math.sqrt(2.0 / (n_rep - 1))
         assert abs(th0.var(ddof=1) - var) < 3 * se_var
 
-    def test_random_walk_pole_rejected(self):
-        c = ArCoefficients(a=1.0, sigma_u_sq=1.0, ts=1.0)
-        with pytest.raises(ValueError, match="gen_wiener"):
-            gen_ar(c, 10, seed=0)
+    def test_random_walk_pole_is_gen_wiener(self):
+        s, ts = 2.5e-3, 1e-7
+        walk = gen_ar(ArCoefficients(1.0, s, ts), 5000, seed=4)
+        want = gen_wiener(s, 5000, seed=4, ts=ts)
+        assert np.array_equal(walk.samples, want.samples)
+        assert walk.model == want.model == {"kind": "wiener", "sigma_u_sq": s}
 
 
 class TestArScan:
@@ -181,15 +193,18 @@ class TestArScan:
         self._check(ar_coefficients(OscillatorParams(f3db=f3db_ts / 1e-7, l100_sq=SAT.l100_sq),
                                     1e-7), 1 << 20, 31)
 
-    @pytest.mark.parametrize("a", [0.0, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("a", [0.0, 0.1, 0.5, 0.9, 1.0])
     def test_hand_built_poles(self, a):
         # a**-(L-1) would overflow at L = 1024 below a ~ 0.5; a shorter
-        # block (L = 1 at a = 0) keeps every sample finite, with no warning
+        # block (L = 1 at a = 0) keeps every sample finite, with no warning;
+        # a = 1 is the random walk
         c = ArCoefficients(a=a, sigma_u_sq=1.0, ts=1.0)
         self._check(c, 100_000, 5)
         # takes that straddle the shorter grids (281 at a = 0.1, 931 at 0.5)
+        # and the 1024-sample one
         source = _ArSource(c, 5)
-        got = np.concatenate([source.take(k) for k in (1, 280, 281, 930, 931, 1025, 96_552)])
+        sizes = (1, 280, 281, 930, 931, 1023, 1024, 1025, 94_505)
+        got = np.concatenate([source.take(k) for k in sizes])
         assert np.array_equal(got, gen_ar(c, 100_000, 5).samples)
 
     def test_huge_variance(self):
