@@ -15,9 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-
-def _undb(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+from .spectral import undb
 
 
 @dataclass(frozen=True)
@@ -63,8 +61,8 @@ class OscillatorParams:
     def from_db(cls, f3db: float, l100_db: float, linf_db: float | None = None,
                 f_ref: float = 1e5) -> "OscillatorParams":
         """Build from dB levels (10*log10 convention); linf_db=None means no floor."""
-        linf = 0.0 if linf_db is None else _undb(linf_db)
-        return cls(f3db=f3db, l100_sq=_undb(l100_db), linf_sq=linf, f_ref=f_ref)
+        linf = 0.0 if linf_db is None else undb(linf_db)
+        return cls(f3db=f3db, l100_sq=undb(l100_db), linf_sq=linf, f_ref=f_ref)
 
     @property
     def amp(self) -> float:

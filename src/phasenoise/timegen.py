@@ -9,17 +9,17 @@ recursion
 
 stationary for f3db > 0; its f3db -> 0 limit, a = 1 with increment
 variance 4*pi^2*amp*Ts, is the Wiener random walk of a free-running
-oscillator.  The white floor contributes i.i.d. samples of variance
-linf_sq/Ts.  Streams are generated with numpy's PCG64 generator (seeded
-64-bit, documented algorithm, ziggurat normals); identical (model, ts,
-n, seed) inputs regenerate bit-identical output.  The AR(1) recursion
-is a numpy scan (``_ArScan``) on a fixed grid of absolute 1024-sample
-blocks: within a block each sample is a**j times a cumulative sum of
-the block's innovations scaled by a**-j, and a block starts from the
-last sample of the one before.  The grid is fixed by the sample index,
-not by the take, so the bits do not depend on how the stream is split;
-they agree with a direct-form recursion to about 1e-13 of the stream's
-standard deviation.
+oscillator.  The white floor is the same recursion at a = 0 with
+var(u_k) = linf_sq/Ts.  Streams are generated with numpy's PCG64
+generator (seeded 64-bit, documented algorithm, ziggurat normals);
+identical (model, ts, n, seed) inputs regenerate bit-identical output.
+The AR(1) recursion is a numpy scan (``_ArScan``) on a fixed grid of
+absolute 1024-sample blocks: within a block each sample is a**j times a
+cumulative sum of the block's innovations scaled by a**-j, and a block
+starts from the last sample of the one before.  The grid is fixed by
+the sample index, not by the take, so the bits do not depend on how the
+stream is split; they agree with a direct-form recursion to about 1e-13
+of the stream's standard deviation.
 ``CompositeGenerator`` produces the same stream block by block, with
 the same bits at any block size; ``gen_composite`` is its one-block case.
 The CSV and binary writers take an iterable of blocks in the same way,
@@ -120,10 +120,10 @@ def ar_coefficients(params: OscillatorParams, ts: float) -> ArCoefficients:
     The implied stationary variance equals pi*amp/f3db exactly.  For f3db = 0
     it is the random walk, a = 1 with ``sigma_u_sq = wiener_sigma(params, ts)``.
     """
+    if not ts > 0:
+        raise ValueError("ts must be > 0")
     if params.f3db == 0.0:
         return ArCoefficients(a=1.0, sigma_u_sq=wiener_sigma(params, ts), ts=ts)
-    if ts < 0:
-        raise ValueError("ts must be >= 0")
     prod = params.f3db * ts
     if prod > F3DB_TS_MAX:
         raise ValueError(f"f3db*ts = {prod:g} outside the model validity range "
@@ -167,21 +167,22 @@ class _ArScan:
     block shortens only near the model's limit f3db*Ts = 0.1 (a = 0.53,
     a**-1023 = 1.3e279) with a scale above 1, below that pole (a
     hand-built ``ArCoefficients``), or at a scale that float64 can
-    barely hold; a = 0 gives L = 1.
+    barely hold.  At a = 0, the white floor, y is x and the call
+    returns its input.
     """
 
     def __init__(self, a: float, scale: float = 1.0):
         budget = max(0.0, 280 * math.log(10) - math.log(max(scale, 1.0)))
-        if 0.0 < a < 1.0:
-            size = min(1024, 1 + int(budget / -math.log(a)))
-        else:
-            size = 1024 if a == 1.0 else 1
+        size = min(1024, 1 + int(budget / -math.log(a))) if 0.0 < a < 1.0 else 1024
         self.a = a
-        self.up, self.down = _scan_tables(a, size)
+        if a > 0.0:
+            self.up, self.down = _scan_tables(a, size)
         self.carry = 0.0            # last output before the open block
         self.held = np.empty(0)     # inputs of the open block so far
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        if self.a == 0.0:
+            return x
         size, head = self.up.size, self.held.size
         end = head + len(x)
         full, rows = end // size, -(-end // size)
@@ -212,8 +213,9 @@ class _ArSource:
     """AR(1) recursion drawn block by block through one ``_ArScan``.
 
     theta_0 is drawn from the stationary distribution, or is 0 without a
-    draw at a = 1 (the random walk).  Every take continues the scan's
-    fixed grid of blocks, so the bits do not depend on the take sizes.
+    draw at a = 1 (the random walk); at a = 0, the white floor, it has
+    the innovations' variance.  Every take continues the scan's fixed
+    grid of blocks, so the bits do not depend on the take sizes.
     """
 
     def __init__(self, coeffs: ArCoefficients, seed: int):
@@ -223,7 +225,8 @@ class _ArSource:
         self.rng = np.random.default_rng(seed)
         self.scan = _ArScan(coeffs.a, self.sd0)
         self.head = 1  # until theta_0 is drawn
-        self.model = ({"kind": "ar", "a": coeffs.a, "sigma_u_sq": coeffs.sigma_u_sq}
+        self.model = ({"kind": "white", "variance": coeffs.sigma_u_sq} if coeffs.a == 0.0 else
+                      {"kind": "ar", "a": coeffs.a, "sigma_u_sq": coeffs.sigma_u_sq}
                       if self.stationary else {"kind": "wiener", "sigma_u_sq": coeffs.sigma_u_sq})
 
     def take(self, n: int) -> np.ndarray:
@@ -232,25 +235,13 @@ class _ArSource:
         drive = np.empty(n)
         if self.head:  # theta_0 first
             drive[0] = self.rng.normal(0.0, self.sd0) if self.stationary else 0.0
-        drive[self.head:] = self.rng.normal(0.0, self.sd, n - self.head)
+        # normal(0, sd, k) is 0.0 + sd*z: the same bits, drawn in place so
+        # that a take holds no second array of its length
+        rest = self.rng.standard_normal(out=drive[self.head:])
+        rest *= self.sd
+        rest += 0.0
         self.head = 0
         return self.scan(drive)
-
-
-class _FloorSource:
-    """White floor: i.i.d. N(0, linf_sq/ts)."""
-
-    def __init__(self, linf_sq: float, ts: float, seed: int):
-        if linf_sq < 0:
-            raise ValueError("linf_sq must be >= 0")
-        if not ts > 0:
-            raise ValueError("ts must be > 0")
-        self.var = linf_sq / ts
-        self.rng = np.random.default_rng(seed)
-        self.model = {"kind": "white", "variance": self.var}
-
-    def take(self, n: int) -> np.ndarray:
-        return self.rng.normal(0.0, math.sqrt(self.var), n) if self.var > 0 else np.zeros(n)
 
 
 def _one_block(source, n: int, ts: float, seed: int) -> PnStream:
@@ -277,8 +268,12 @@ def gen_wiener(sigma_u_sq: float, n: int, seed: int, ts: float = 0.0) -> PnStrea
 
 
 def gen_white_floor(linf_sq: float, ts: float, n: int, seed: int) -> PnStream:
-    """White floor stream: i.i.d. N(0, linf_sq/ts)."""
-    return _one_block(_FloorSource(linf_sq, ts, seed), n, ts, seed)
+    """White floor stream, the AR(1) source at a = 0: i.i.d. N(0, linf_sq/ts)."""
+    if linf_sq < 0:
+        raise ValueError("linf_sq must be >= 0")
+    if not ts > 0:
+        raise ValueError("ts must be > 0")
+    return gen_ar(ArCoefficients(0.0, linf_sq / ts, ts), n, seed)
 
 
 class CompositeGenerator:
@@ -286,10 +281,10 @@ class CompositeGenerator:
 
     Each member contributes its AR(1) stream (``ar_coefficients``; the
     random walk for f3db = 0) seeded with member_seed(seed, 2i) and, when
-    linf_sq > 0, a white-floor stream seeded with member_seed(seed, 2i + 1).
-    Successive ``take(n)`` calls continue the stream: their concatenation
-    is bit-identical to one ``take`` of the total length, whatever the
-    block sizes.
+    linf_sq > 0, its white floor (the AR(1) stream at a = 0) seeded with
+    member_seed(seed, 2i + 1).  Successive ``take(n)`` calls continue the
+    stream: their concatenation is bit-identical to one ``take`` of the
+    total length, whatever the block sizes.
     """
 
     def __init__(self, model, ts: float, seed: int):
@@ -299,7 +294,8 @@ class CompositeGenerator:
         for i, p in enumerate(as_composite(model).processes):
             self.sources.append(_ArSource(ar_coefficients(p, ts), member_seed(seed, 2 * i)))
             if p.linf_sq > 0.0:
-                self.sources.append(_FloorSource(p.linf_sq, ts, member_seed(seed, 2 * i + 1)))
+                self.sources.append(_ArSource(ArCoefficients(0.0, p.linf_sq / ts, ts),
+                                              member_seed(seed, 2 * i + 1)))
         self.model = {"kind": "composite", "members": [s.model for s in self.sources]}
 
     def take(self, n: int) -> np.ndarray:

@@ -248,7 +248,12 @@ def test_every_model_header_flags_a_high_corner(capsys, argv):
     (["psd", "--threegpp-psd0-db", "35", "--threegpp-zero", "3e3", "--threegpp-pole", "1,3.3"],
      "--threegpp-zero needs FREQ,EXP: '3e3'"),
     (["psd", "--threegpp-psd0-db", "35", "--threegpp-zero", "3e3,2.37",
-      "--threegpp-pole", "3e3,2,1"], "--threegpp-pole needs FREQ,EXP: '3e3,2,1'")])
+      "--threegpp-pole", "3e3,2,1"], "--threegpp-pole needs FREQ,EXP: '3e3,2,1'"),
+    # dB levels that overflow a double
+    (["psd", "--f3db", "10", "--l100-db", "1e308"], "1e+308 dB overflows a double"),
+    (["psd", "--f3db", "10", "--l100-db", "-88", "--linf-db", "1e308"],
+     "1e+308 dB overflows a double"),
+    (["psd", "--process", "10,-88,1e308"], "1e+308 dB overflows a double")])
 def test_non_finite_argument_is_one_error_line(capsys, tmp_path, argv, names):
     config = tmp_path / "cfg.json"
     config.write_text('{"ts": Infinity, "n_symbols": 2000}')

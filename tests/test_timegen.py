@@ -23,6 +23,7 @@ from phasenoise import (
 )
 from phasenoise.cli import run
 from phasenoise.timegen import (
+    _ArScan,
     _ArSource,
     load_stream_bin,
     load_stream_csv,
@@ -63,15 +64,16 @@ class TestArCoefficients:
         assert c.sigma_u_sq == pytest.approx(wiener_sigma(p, 1e-7), rel=1e-9)
 
     def test_zero_ts_degenerate(self):
-        c = ar_coefficients(SAT, 0.0)
-        assert c.a == 1.0
-        assert c.sigma_u_sq == 0.0
-        assert not c.stationary
+        # refused for a PLL and a free-running member alike
+        for p in (SAT, OscillatorParams.from_db(0.0, -88.0)):
+            for ts in (0.0, -1e-7, math.nan):
+                with pytest.raises(ValueError, match="ts must be > 0"):
+                    ar_coefficients(p, ts)
 
     def test_validity_limits(self):
         assert ar_coefficients(SAT, 5e-2 / SAT.f3db).flags == ("f3db*ts-above-0.01",)
         assert ar_coefficients(SAT, 1e-2 / SAT.f3db).flags == ()
-        assert ar_coefficients(SAT, 0.0).flags == ()
+        assert ar_coefficients(SAT, 1e-300).flags == ()
         with pytest.raises(ValueError, match="validity"):
             ar_coefficients(SAT, 0.2 / SAT.f3db)
 
@@ -196,8 +198,8 @@ class TestArScan:
     @pytest.mark.parametrize("a", [0.0, 0.1, 0.5, 0.9, 1.0])
     def test_hand_built_poles(self, a):
         # a**-(L-1) would overflow at L = 1024 below a ~ 0.5; a shorter
-        # block (L = 1 at a = 0) keeps every sample finite, with no warning;
-        # a = 1 is the random walk
+        # block keeps every sample finite, with no warning; a = 0 is the
+        # white floor and a = 1 the random walk
         c = ArCoefficients(a=a, sigma_u_sq=1.0, ts=1.0)
         self._check(c, 100_000, 5)
         # takes that straddle the shorter grids (281 at a = 0.1, 931 at 0.5)
@@ -260,6 +262,36 @@ class TestGenWhiteFloor:
 
     def test_zero_floor(self):
         assert np.all(gen_white_floor(0.0, 1e-7, 100, seed=1).samples == 0.0)
+
+    @pytest.mark.parametrize("v, n, seed", [(1.0, 1, 0), (2.5e-3, 5000, 9),
+                                            (3.98e-5, 70_001, 2), (0.0, 100, 4)])
+    def test_pole_zero_is_normal_draws(self, v, n, seed):
+        # theta_0 and the n - 1 innovations are one run of normal draws, bit
+        # for bit (zero variance gives +0.0, as normal() does)
+        got = gen_ar(ArCoefficients(0.0, v, 1e-7), n, seed).samples
+        want = np.random.default_rng(seed).normal(0.0, math.sqrt(v), n)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 3000), min_size=1, max_size=8))
+    def test_pole_zero_scan_passes_input_through(self, sizes):
+        scan = _ArScan(0.0, 2.0)
+        for k in sizes:
+            x = np.random.default_rng(k).normal(size=k)
+            assert scan(x) is x
+
+    def test_hand_built_pole_zero_keeps_white_model(self):
+        linf_sq, ts = 1e-11, 1e-7
+        hand = gen_ar(ArCoefficients(0.0, linf_sq / ts, ts), 100, seed=3)
+        floor = gen_white_floor(linf_sq, ts, 100, seed=3)
+        assert hand.model == floor.model == {"kind": "white", "variance": linf_sq / ts}
+        assert np.array_equal(hand.samples, floor.samples)
+
+    def test_domain(self):
+        with pytest.raises(ValueError, match="linf_sq must be >= 0"):
+            gen_white_floor(-1e-12, 1e-7, 10, seed=0)
+        with pytest.raises(ValueError, match="ts must be > 0"):
+            gen_white_floor(1e-12, 0.0, 10, seed=0)
 
 
 class TestGenComposite:
