@@ -27,7 +27,8 @@ rearrangements that avoid catastrophic cancellation, above it through
 series in x = 1/rho that neither underflow nor overflow; every function also
 accepts an ``mpmath.mpf`` argument and then evaluates in that precision,
 which is needed to resolve differences such as sum_gamma - gamma0 at
-small rho beyond float64 resolution.
+small rho beyond float64 resolution.  mpmath is imported only on that
+path, so the package itself never loads it.
 
 ``sir_for_pulse`` gives the same ratio gamma0 / sum_{l != 0} gamma_l
 for the sampled, truncated root-raised-cosine taps that the link
@@ -41,7 +42,6 @@ from __future__ import annotations
 import math
 import sys
 
-import mpmath as mp
 import numpy as np
 
 from .linksim import rrc_taps
@@ -50,7 +50,9 @@ from .timegen import _ArScan
 
 
 def _is_mp(x) -> bool:
-    return isinstance(x, mp.mpf)
+    # an mpf exists only once its caller has imported mpmath
+    mp = sys.modules.get("mpmath")
+    return mp is not None and isinstance(x, mp.mpf)
 
 
 def _coerce(rho):
@@ -132,6 +134,7 @@ def eta(rho_value) -> float:
     """Total mean-square error of the symbol-rate channel model."""
     r = _coerce(rho_value)
     if _is_mp(r):
+        import mpmath as mp
         return 1 + (2 / mp.pi) * ((r / 2) * mp.log(1 + 1 / r ** 2) - mp.atan(1 / r))
     if r < 1.0:
         return (2.0 / math.pi) * (math.atan(r) + 0.5 * r * _log1p_inv_r2(r))
@@ -142,6 +145,7 @@ def eta_d(rho_value) -> float:
     """Direct-path (power-loss) part of the mean-square error."""
     r = _coerce(rho_value)
     if _is_mp(r):
+        import mpmath as mp
         return 1 + (2 / mp.pi) * (r - (1 + r ** 2) * mp.atan(1 / r))
     if r < 1.0:
         return (2.0 / math.pi) * (r + (1.0 + r * r) * math.atan(r)) - r * r
@@ -153,6 +157,7 @@ def eta_isi(rho_value) -> float:
     """Intersymbol-interference part of the mean-square error."""
     r = _coerce(rho_value)
     if _is_mp(r):
+        import mpmath as mp
         return (2 / mp.pi) * (r ** 2 * mp.atan(1 / r) + (r / 2) * mp.log(1 + 1 / r ** 2) - r)
     if r < 1.0:
         a = math.atan(r)
@@ -166,6 +171,7 @@ def gamma0(rho_value) -> float:
     """Mean-square direct matched-filter gain E{|g0|^2}; in (0, 1]."""
     r = _coerce(rho_value)
     if _is_mp(r):
+        import mpmath as mp
         return (2 / mp.pi) * (mp.atan(1 / r) * (1 - r ** 2)
                               - r * mp.log(1 + 1 / r ** 2) + r)
     if r < 1.0:
@@ -180,6 +186,7 @@ def sum_gamma(rho_value) -> float:
     """Total matched-filter output power sum over all gain lags."""
     r = _coerce(rho_value)
     if _is_mp(r):
+        import mpmath as mp
         return (2 / mp.pi) * (mp.atan(1 / r) - (r / 2) * mp.log(1 + 1 / r ** 2))
     x = 1.0 / r
     return (2.0 / math.pi) * (math.atan(x) - 0.5 * _log1p_x2_over_x(x))
@@ -221,6 +228,7 @@ def sir_for_pulse(rolloff: float, rho_value, filter_span: int = 32, osf: int = 5
 def sir_from_sigma_u(sigma_u: float) -> float:
     """SIR expressed through the phase-increment standard deviation (rad)."""
     if _is_mp(sigma_u):
+        import mpmath as mp
         return sir_from_rho(sigma_u ** 2 / (4 * mp.pi))
     s = float(sigma_u)
     if not s > 0:

@@ -40,8 +40,7 @@ import numpy as np
 
 from .params import OscillatorParams, as_composite
 
-# f3db*Ts limits of the AR parametrization: flagged above WARN, refused above MAX
-F3DB_TS_WARN = 0.01
+# f3db*Ts above which the AR parametrization is refused
 F3DB_TS_MAX = 0.1
 
 _BIN_MAGIC = b"PNSTREAM1\n"
@@ -67,11 +66,6 @@ class ArCoefficients:
     def stationary(self) -> bool:
         """False for a = 1, the nonstationary random-walk mode."""
         return self.a < 1.0
-
-    @property
-    def flags(self) -> tuple[str, ...]:
-        """``("f3db*ts-above-0.01",)`` if the pole puts f3db*ts above F3DB_TS_WARN."""
-        return ("f3db*ts-above-0.01",) if self.a < math.exp(-2 * math.pi * F3DB_TS_WARN) else ()
 
     @property
     def stationary_variance(self) -> float:
@@ -116,7 +110,7 @@ def member_seed(master_seed: int, index: int) -> int:
 def ar_coefficients(params: OscillatorParams, ts: float) -> ArCoefficients:
     """AR(1) pole and innovation variance for sampling period ts.
 
-    Valid for f3db*ts << 1: flagged above 0.01 (``flags``), refused above 0.1.
+    Valid for f3db*ts << 1, refused above 0.1.
     The implied stationary variance equals pi*amp/f3db exactly.  For f3db = 0
     it is the random walk, a = 1 with ``sigma_u_sq = wiener_sigma(params, ts)``.
     """

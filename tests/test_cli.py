@@ -448,11 +448,13 @@ def test_link_memory_bounded_for_long_pilot_periods(tmp_path):
     assert long_period - base < 48 * n / 2 ** 20
 
 
-# the scipy modules loaded after `import phasenoise`, after importing the
-# CLI and after one command (its stdout discarded), one JSON list a line
+# the scipy and mpmath modules loaded after `import phasenoise`, after
+# importing the CLI and after one command (its stdout discarded), one JSON
+# list a line
 _SCIPY_CHILD = ("import contextlib, io, json, sys\n"
                 "def loaded():\n"
-                "    print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))\n"
+                "    print(json.dumps([m for m in sys.modules\n"
+                "                      if m.split('.')[0] in ('scipy', 'mpmath')]))\n"
                 "import phasenoise\n"
                 "loaded()\n"
                 "from phasenoise.cli import run\n"
@@ -481,7 +483,8 @@ _SAT_ARGS = ["--f3db", "10", "--l100-db", "-88", "--linf-db", "-114"]
 ], ids=["help", "errors", "psd", "fit", "validate_free_running", "gen_sat", "validate_sat",
         "ber_dt_sat", "sir"])
 def test_commands_load_only_the_scipy_they_call(tmp_path, monkeypatch, argv, absent):
-    # each scipy subpackage is imported by the function that calls it
+    # each scipy subpackage is imported by the function that calls it, and
+    # mpmath by none
     monkeypatch.chdir(tmp_path)
     freqs = np.logspace(1, 8, 120)
     sat = OscillatorParams.from_db(10.0, -88.0, -114.0)
@@ -489,7 +492,15 @@ def test_commands_load_only_the_scipy_they_call(tmp_path, monkeypatch, argv, abs
     lines = _child_stdout(_SCIPY_CHILD, argv).splitlines()
     on_import, on_cli_import, after = map(json.loads, lines)
     assert on_import == on_cli_import == []
-    assert not [m for m in after if m.startswith(absent)], after
+    assert not [m for m in after if m.startswith((*absent, "mpmath"))], after
+
+
+def test_mpf_argument_after_import():
+    # mpmath imported after the package: the closed forms still see an mpf
+    script = ("import phasenoise\n"
+              "import mpmath as mp\n"
+              "print(type(phasenoise.gamma0(mp.mpf('1e-3'))) is mp.mpf)\n")
+    assert _child_stdout(script, []) == "True\n"
 
 
 class TestSirBer:
@@ -624,10 +635,10 @@ class TestFit:
       "--n", "13", "--phasor"],
      "2758bd08e0174303ba655a6e2740dc151139c926a80f94984ad473a3c91d21ea"),
     (["fit", "--points", "sat.csv", "--k", "2"],
-     "95c17480e841d271afbcb83cc7edab2172ed029035d199e89a251e5b1e9760c1"),
+     "4c1ffb0bc43400f7f01c002a91609ccb67b90fc21f497656f1333f6ed85a54a3"),
     # flagged free-running-like, the corner at the box edge
     (["fit", "--points", "wiener.csv", "--k", "1"],
-     "96bf8a28e3a191841db240bf03aa54ec2d0d2076ec9a21fc89debe8f60aa6b0c"),
+     "d7c10f52077a982a1be95e496607b4a696fc415a0e6f2ac5900b0b59117b6511"),
     # 7 unwrap flags at each Es/N0
     (["ber", "--pn", "dt", "--f3db", "0", "--l100-db", "-62", "--n-symbols", "20000",
       "--esn0-db", "10,20", "--seed", "3"],

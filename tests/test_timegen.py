@@ -71,9 +71,6 @@ class TestArCoefficients:
                     ar_coefficients(p, ts)
 
     def test_validity_limits(self):
-        assert ar_coefficients(SAT, 5e-2 / SAT.f3db).flags == ("f3db*ts-above-0.01",)
-        assert ar_coefficients(SAT, 1e-2 / SAT.f3db).flags == ()
-        assert ar_coefficients(SAT, 1e-300).flags == ()
         with pytest.raises(ValueError, match="validity"):
             ar_coefficients(SAT, 0.2 / SAT.f3db)
 
