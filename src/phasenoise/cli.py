@@ -10,6 +10,7 @@ holds the samples alone.  Tables and ``gen`` CSV stream block by block through
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -367,7 +368,10 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing leaves
+    it unchanged, so every ``run`` shares it."""
     top = argparse.ArgumentParser(prog="phasenoise",
                                   description="oscillator phase-noise toolkit")
     top.add_argument("--version", action="version", version=__version__)

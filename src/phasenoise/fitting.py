@@ -6,8 +6,11 @@ the multi-pole/zero cellular model.  The objective is the RMS dB error
 over the supplied points, minimized as a least-squares problem (scipy's
 trust-region-reflective solver, given the exact Jacobian of the dB
 residuals) inside a box derived from the points, from deterministic
-slope-based starts.  ``FitResult.iterations`` counts residual
-evaluations; the solver spends none on derivatives.
+slope-based starts.  A greedy stage that adds nothing ends the greedy
+pass; the later stages are flagged degenerate.  ``FitResult.iterations``
+counts the residual evaluations performed; the solver spends none on
+derivatives, and the Jacobian reuses the model terms of the point just
+evaluated.
 """
 
 from __future__ import annotations
@@ -63,11 +66,12 @@ def _model_db(freqs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(_terms(freqs, x)[3])
 
 
-def _jacobian_db(freqs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """d(model dB)/dx, one row per frequency: -20 t_i F_i/((F_i + f^2) S) per
-    lg_f3_i, t_i/S per l100_i and L/S for the floor."""
-    t, share, floor, s = _terms(freqs, x)
-    rows = np.full((len(x), freqs.size), floor)
+def _jacobian_db(terms, size: int) -> np.ndarray:
+    """d(model dB)/dx from the ``_terms`` of an x of this size, one row per
+    frequency: -20 t_i F_i/((F_i + f^2) S) per lg_f3_i, t_i/S per l100_i and
+    L/S for the floor."""
+    t, share, floor, s = terms
+    rows = np.full((size, s.size), floor)
     rows[:2 * len(t):2] = -20.0 * share * t
     rows[1:2 * len(t):2] = t
     return (rows / s).T
@@ -153,15 +157,22 @@ def _optimize(freqs, levels, x0) -> tuple[np.ndarray, float, int, bool]:
     """
     from scipy.optimize import least_squares
 
-    evals = 0
+    # x and _terms of the last residual evaluation: the solver asks for the
+    # Jacobian at the point it has just evaluated
+    evals, last = 0, (None, None)
 
     def residuals(x):
-        nonlocal evals
+        nonlocal evals, last
         evals += 1
-        return _model_db(freqs, x) - levels
+        last = (x.copy(), _terms(freqs, x))
+        return 10.0 * np.log10(last[1][3]) - levels
+
+    def jacobian(x):
+        terms = last[1] if np.array_equal(x, last[0]) else _terms(freqs, x)
+        return _jacobian_db(terms, len(x))
 
     lb, ub = _box(freqs, levels, len(x0))
-    res = least_squares(residuals, np.clip(x0, lb, ub), jac=lambda x: _jacobian_db(freqs, x),
+    res = least_squares(residuals, np.clip(x0, lb, ub), jac=jacobian,
                         bounds=(lb, ub), method="trf")
     return res.x, float(np.sqrt(np.mean(res.fun ** 2))), evals, bool(res.success)
 
@@ -235,9 +246,12 @@ def _greedy_members(freqs, levels, k) -> tuple[np.ndarray, list, list[str], list
     """Stagewise fit-subtract loop; the cumulative residual never increases.
 
     A stage whose process does not lower the cumulative residual is left
-    out.  Its trial is returned as an extra start for the joint polish: a
-    process that does not help while the earlier members are held fixed
-    may still help once all of them are refitted together.
+    out.  It leaves x unchanged, so every later stage would repeat its
+    start, solve and trial: it ends the pass, and it and each later stage
+    are flagged degenerate at the RMS so far.  Its trial is returned as an
+    extra start for the joint polish: a process that does not help while
+    the earlier members are held fixed may still help once all of them are
+    refitted together.
     """
     flags, trials, stage_rms = [], [], []
     x, resid_levels, evals, best_rms = None, levels.copy(), 0, math.inf
@@ -249,12 +263,13 @@ def _greedy_members(freqs, levels, k) -> tuple[np.ndarray, list, list[str], list
         trial = y if x is None else np.append(np.append(x[:-1], y[:-1]),
                                               db(undb(x[-1]) + undb(y[-1])))
         trial_rms = _rms_db(freqs, levels, trial)
-        if trial_rms <= best_rms:
-            x, best_rms = trial, trial_rms
-            flags.extend(f"stage{stage}:{f}" for f in st_flags)
-        else:
+        if not trial_rms <= best_rms:
             trials.append(trial)
-            flags.append(f"stage{stage}:degenerate")
+            flags += [f"stage{j}:degenerate" for j in range(stage, k)]
+            stage_rms += [best_rms] * (k - stage)
+            break
+        x, best_rms = trial, trial_rms
+        flags.extend(f"stage{stage}:{f}" for f in st_flags)
         stage_rms.append(best_rms)
         point_lin = undb(levels)
         resid_levels = db(np.maximum(point_lin - undb(_model_db(freqs, x)), 0.1 * point_lin))
@@ -283,9 +298,10 @@ def fit_composite(points, k: int) -> FitResult:
     """Fit of at most k processes and one shared floor.
 
     Deterministic starts: the greedy fit-subtract pass (subtraction in
-    the linear domain, floored at 10% of the point value; a stage that
-    does not lower the cumulative residual is left out), the trial of
-    every left-out stage, and one member per detected -20 dB/dec segment.
+    the linear domain, floored at 10% of the point value; the first stage
+    that does not lower the cumulative residual is left out and ends the
+    pass, and it and every later stage are flagged ``stage<j>:degenerate``),
+    the trial of that stage, and one member per detected -20 dB/dec segment.
     Each start is clipped into the box of ``_box`` and polished jointly by
     bounded least squares; the lowest residual wins.  Members with one
     corner then merge, and each member, then the floor, whose removal
@@ -295,6 +311,7 @@ def fit_composite(points, k: int) -> FitResult:
     the greedy stages and the polish, up to ``DROP_TOL_DB``.  Members come
     in corner order, the floor on the highest corner; a lowest corner
     below the first point is flagged ``free-running-like``.
+    ``iterations`` counts the residual evaluations performed.
     """
     pts = validate_points(points)
     if not 1 <= k <= 4:

@@ -37,6 +37,18 @@ class TestExitCodes:
         assert run(["psd", "--no-such-flag", "1"]) == 2
         capsys.readouterr()
 
+    def test_runs_share_one_parser(self, capsys):
+        # the parser is built at most once, and a failed or JSON run leaves
+        # nothing behind for the next run to see
+        psd = ["psd", "--f3db", "10", "--l100-db", "-88", "--n", "5"]
+        cli.build_parser.cache_clear()
+        runs = [run_capture(capsys, argv) for argv in
+                (psd, ["psd", "--n", "five"], [*psd, "--format", "json"], psd)]
+        assert cli.build_parser.cache_info().misses <= 1
+        assert [code for code, _, _ in runs] == [0, 2, 0, 0]
+        assert runs[2][1].startswith("{")
+        assert runs[3][1] == runs[0][1] and runs[3][2] == runs[0][2] == ""
+
     def test_runtime_error_is_1(self, capsys):
         code, out, err = run_capture(capsys, ["fit", "--points", "/nonexistent.csv"])
         assert code == 1

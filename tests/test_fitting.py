@@ -18,7 +18,9 @@ from phasenoise import (
     pn_psd,
     threegpp_psd,
 )
-from phasenoise.fitting import DROP_TOL_DB, _box, _jacobian_db, _model_db, _slope_segments
+from phasenoise import fitting
+from phasenoise.fitting import (DROP_TOL_DB, _box, _jacobian_db, _model_db, _optimize,
+                                _slope_segments, _terms)
 
 import oracles
 
@@ -216,13 +218,46 @@ def test_jacobian_matches_central_differences(size):
         x = lb + np.random.default_rng(seed).uniform(size=size) * (ub - lb)
         fd = np.column_stack([(_model_db(freqs, x + h * e) - _model_db(freqs, x - h * e)) / (2 * h)
                               for e in np.eye(size)])
-        np.testing.assert_allclose(_jacobian_db(freqs, x), fd, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(_jacobian_db(_terms(freqs, x), size), fd, rtol=1e-6, atol=1e-9)
 
 
 def test_satellite_k2_fit_evaluations():
     # with the exact Jacobian the solver evaluates no residuals to build
     # derivatives: 24 evaluations, 104 with finite differences
     assert fits_k1_to_4("satellite")[1].iterations < 50
+
+
+def test_greedy_pass_stops_at_its_first_degenerate_stage():
+    # on the one-process satellite curve stage 1 adds nothing, so k=3 and
+    # k=4 repeat no solve of k=2: 24 evaluations each (35 and 46 when every
+    # later stage repeated the degenerate one)
+    fits = fits_k1_to_4("satellite")
+    two = fits[1]
+    assert two.iterations == 24
+    for k, r in ((3, fits[2]), (4, fits[3])):
+        assert r.iterations == two.iterations, k
+        assert r.params == two.params, k
+        assert r.residual_rms_db == two.residual_rms_db, k
+        degenerate = [f for f in r.flags if f.endswith(":degenerate")]
+        assert degenerate == [f"stage{j}:degenerate" for j in range(1, k)], (k, r.flags)
+        assert len(r.stage_rms_db) == k + 1, k
+
+
+def test_optimize_computes_terms_once_per_evaluation(monkeypatch):
+    # the Jacobian reuses the terms of the residual point it is asked at
+    calls = []
+
+    def counted(freqs, x):
+        calls.append(x)
+        return _terms(freqs, x)
+
+    monkeypatch.setattr(fitting, "_terms", counted)
+    freqs, levels = CURVES["two_process_s1"].T
+    x0 = np.array([1.0, -90.0, 3.0, -90.0, -130.0])
+    _x, _rms, evals, converged = _optimize(freqs, levels, x0)
+    assert converged
+    assert evals > 5
+    assert len(calls) == evals
 
 
 # slopes (dB/dec) in and out of the [-25, -15] run band, boundaries
