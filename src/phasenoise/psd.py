@@ -1,8 +1,13 @@
 """Closed-form continuous-frequency spectra.
 
 Phase-noise PSD and autocorrelation, phasor autocorrelation and PSD
-(free-running, PLL-locked, general numeric case, and white-floor
-extension), composite sums, and the multi-pole/zero cellular model.
+(with its white-floor extension), composite sums, and the
+multi-pole/zero cellular model.
+
+The phasor PSD is a carrier line plus Lorentzians in every regime: one
+term free-running and PLL-locked, else the exact Poisson expansion of
+the autocorrelation, about 18*sqrt(c) terms for c = pi*amp/f3db up to
+1e8, above which the free-running form (within 1/c) is used.
 
 All PSDs are double-sided linear densities over f in (-inf, inf).
 Dirac components are carried symbolically in
@@ -12,7 +17,7 @@ Dirac components are carried symbolically in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +25,8 @@ from .params import CompositeModel, OscillatorParams, ThreeGppParams, as_composi
 
 # PLL branch is used when f3db exceeds the phasor half-width by this factor
 PLL_BRANCH_FACTOR = 10.0
+# free-running form is used when the phasor half-width exceeds f3db by this factor
+FREE_RUNNING_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -98,93 +105,82 @@ def phasor_autocorr(params: OscillatorParams, tau) -> float | np.ndarray:
     return out if tarr.ndim else float(out)
 
 
-def _phasor_branch(params: OscillatorParams) -> str:
-    if params.f3db == 0.0:
-        return "free-running"
-    if params.f3db >= PLL_BRANCH_FACTOR * params.phasor_halfwidth:
-        return "pll"
-    return "general"
+def _phasor_lorentzians(params: OscillatorParams) -> tuple[float, np.ndarray, np.ndarray]:
+    """(carrier, num, w) with S_h(f) = carrier*delta(f) + sum(num/(w^2 + f^2)).
+
+    In the general branch R_h(tau) = exp(-c) * sum_k c^k g^k / k! with
+    g = exp(-2*pi*f3db*|tau|), and g^k transforms to a Lorentzian of
+    half-width k*f3db; the terms within 1e-18 of the largest weight are kept.
+    """
+    hw = params.phasor_halfwidth
+    if params.f3db == 0.0 or hw > FREE_RUNNING_LIMIT * params.f3db:
+        return 0.0, np.array([params.amp]), np.array([hw])
+    if params.f3db >= PLL_BRANCH_FACTOR * hw:
+        return 1.0 - hw / params.f3db, np.array([params.amp]), np.array([params.f3db])
+    c = hw / params.f3db
+    mode, span = math.floor(c), int(10.0 * math.sqrt(c)) + 40
+    k = np.arange(max(mode - span, 0), mode + span + 1)
+    # p_k/p_mode outward from the mode, one rounding per factor, normalised
+    # by their sum (the weights of all k >= 0 sum to 1)
+    ratio = np.concatenate([np.cumprod((k[k < mode] + 1)[::-1] / c)[::-1], [1.0],
+                            np.cumprod(c / k[k > mode])])
+    keep = (ratio >= 1e-18) & (k >= 1)
+    half = k[keep] * params.f3db
+    return math.exp(-c), ratio[keep] / ratio.sum() * half / math.pi, half
 
 
-def _general_tau_max(c: float, f3db: float, envelope: float = 1e-12) -> float:
-    # solve R_h(tau) - R_h(inf) = envelope; R_h - w = exp(-c)*(exp(c*g)-1),
-    # g = exp(-2*pi*f3db*tau)
-    if c + math.log(envelope) > 30.0:
-        x = c + math.log(envelope)
-    else:
-        x = math.log1p(envelope * math.exp(c))
-    g = x / c
-    return -math.log(g) / (2.0 * math.pi * f3db)
+def _lorentzian_sum(num: np.ndarray, w: np.ndarray, f, term) -> np.ndarray:
+    """sum_k term(num_k, w_k, f) at each f, shaped like f: the terms in pieces
+    of 256 and the frequencies in rows of up to 65 536 elements a piece, so
+    memory stays bounded and each value's bits depend on its frequency alone."""
+    col = np.asarray(f, dtype=float).reshape(-1, 1)
+    step = min(num.size, 256)
+    rows = (1 << 16) // step
+    out = np.empty(col.shape[0])
+    for lo in range(0, col.shape[0], rows):
+        fs = col[lo:lo + rows]
+        out[lo:lo + rows] = sum(term(num[i:i + step], w[i:i + step], fs).sum(axis=1)
+                                for i in range(0, num.size, step))
+    return out.reshape(np.shape(f))
 
 
-def _phasor_continuous_general(params: OscillatorParams, f: float,
-                               epsabs: float = 1e-9) -> float:
-    from scipy.integrate import quad
-
-    # cosine transform of R_h(tau) - delta_weight, truncated where the
-    # integrand envelope falls below 1e-12
-    c = math.pi * params.amp / params.f3db
-    w = math.exp(-c)
-    tau_max = _general_tau_max(c, params.f3db)
-    rate = 2.0 * math.pi * params.f3db
-
-    def integrand(t):
-        return math.exp(c * math.expm1(-rate * t)) - w
-
-    val, err = quad(integrand, 0.0, tau_max, weight="cos", wvar=2.0 * math.pi * f,
-                    epsabs=epsabs, epsrel=1e-10, limit=500)
-    if not math.isfinite(val) or err > max(100 * epsabs, abs(val)):
-        raise ArithmeticError(
-            f"phasor PSD quadrature did not converge at f={f:g} "
-            f"(value={val:g}, err={err:g}, tau_max={tau_max:g})")
-    return 2.0 * val
+def _density(num, w, f):
+    return num / (w ** 2 + f ** 2)
 
 
-def phasor_psd(params: OscillatorParams, f, epsabs: float = 1e-9) -> PhasorPsdValue:
+def phasor_psd(params: OscillatorParams, f) -> PhasorPsdValue:
     """PSD of the phasor exp(j*theta(t)) for the floorless model.
 
-    Dispatches on the oscillator regime:
+    A carrier line plus Lorentzians num/(w^2 + f^2) in every regime:
 
-    * ``f3db = 0``: Lorentzian with half-width pi*amp and no carrier line.
-    * ``f3db >= 10*pi*amp``: carrier line of weight 1 - pi*amp/f3db plus
-      the phase-noise Lorentzian.
-    * otherwise: numeric cosine transform of the phasor autocorrelation,
-      carrier weight exp(-pi*amp/f3db).
+    * ``f3db = 0`` or c = pi*amp/f3db above 1e8 (``FREE_RUNNING_LIMIT``):
+      half-width pi*amp and no carrier line.
+    * ``f3db >= 10*pi*amp``: carrier line of weight 1 - c plus the
+      phase-noise Lorentzian.
+    * otherwise: the autocorrelation's exact expansion, carrier weight
+      exp(-c) and, for k >= 1, half-width k*f3db with Poisson weight
+      exp(-c)*c^k/k!: about 18*sqrt(c) terms (36 at c = 5), within 1/c of
+      the free-running form at large c.
     """
     if params.linf_sq != 0.0:
         raise ValueError("floorless phasor PSD requires linf_sq=0; "
                          "use phasor_psd_with_floor")
-    farr = np.asarray(f, dtype=float)
-    branch = _phasor_branch(params)
-    if branch == "free-running":
-        hw = params.phasor_halfwidth
-        cont = params.amp / (hw ** 2 + farr ** 2)
-        delta = 0.0
-    elif branch == "pll":
-        cont = params.amp / (params.f3db ** 2 + farr ** 2)
-        delta = 1.0 - params.phasor_halfwidth / params.f3db
-    else:
-        delta = math.exp(-math.pi * params.amp / params.f3db)
-        if farr.ndim:
-            cont = np.array([_phasor_continuous_general(params, fv, epsabs)
-                             for fv in farr])
-        else:
-            cont = _phasor_continuous_general(params, float(farr), epsabs)
-    if farr.ndim == 0 and isinstance(cont, np.ndarray):
-        cont = float(cont)
-    return PhasorPsdValue(delta_weight=delta, continuous=cont)
+    carrier, num, w = _phasor_lorentzians(params)
+    cont = _lorentzian_sum(num, w, f, _density)
+    return PhasorPsdValue(delta_weight=carrier, continuous=cont if cont.ndim else float(cont))
 
 
 def phasor_psd_with_floor(params: OscillatorParams, f, b_theta: float) -> PhasorPsdValue:
     """Phasor PSD including a white phase-noise floor of bandwidth b_theta.
 
     Returns (1 - linf_sq*b_theta) * S_h(f) plus the flat term produced by
-    the floor: the unit-power phasor spectrum convolved with a rectangle
-    of width b_theta at level linf_sq. The flat term is closed-form for
-    the free-running and PLL branches; the general branch uses the
-    rectangular window approximation (valid because the phasor spectrum
-    is much narrower than b_theta). Callers modelling a sampled system
-    should pass b_theta at or above the sampling rate 1/Ts.
+    the floor: S_h, the carrier line and Lorentzians num/(w^2 + f^2) of
+    ``phasor_psd`` (same terms, same c = 1e8 limit), convolved with a
+    rectangle of width b_theta at level linf_sq, which is exactly
+    linf_sq*(carrier*[|f| <= b_theta/2]
+    + sum (num/w)*(atan((f + b_theta/2)/w) - atan((f - b_theta/2)/w))).
+    Callers modelling a sampled system should pass b_theta at or above the
+    sampling rate 1/Ts.
     """
     if not b_theta > 0:
         raise ValueError("b_theta must be > 0")
@@ -195,27 +191,17 @@ def phasor_psd_with_floor(params: OscillatorParams, f, b_theta: float) -> Phasor
         raise ValueError(
             f"linf_sq*b_theta = {eps:g} too large for the first-order floor "
             "approximation (needs < 0.1)")
-    base = phasor_psd(replace(params, linf_sq=0.0), f)
-    farr = np.asarray(f, dtype=float)
-    branch = _phasor_branch(params)
-    window = (np.abs(farr) <= b_theta / 2.0).astype(float)
-    if branch == "free-running":
-        hw = params.phasor_halfwidth
-        flat = (params.linf_sq / math.pi) * (
-            np.arctan((farr + b_theta / 2.0) / hw)
-            - np.arctan((farr - b_theta / 2.0) / hw))
-    elif branch == "pll":
-        w3 = params.f3db
-        lor = (params.amp / w3) * (np.arctan((farr + b_theta / 2.0) / w3)
-                                   - np.arctan((farr - b_theta / 2.0) / w3))
-        flat = params.linf_sq * (base.delta_weight * window + lor)
-    else:
-        flat = params.linf_sq * window
-    scale = 1.0 - eps
-    cont = scale * np.asarray(base.continuous) + flat
-    if farr.ndim == 0:
-        cont = float(cont)
-    return PhasorPsdValue(delta_weight=scale * base.delta_weight, continuous=cont)
+    carrier, num, w = _phasor_lorentzians(params)
+    window = (np.abs(np.asarray(f, dtype=float)) <= b_theta / 2.0).astype(float)
+
+    def spread(num, w, f):
+        return (num / w) * (np.arctan((f + b_theta / 2.0) / w)
+                            - np.arctan((f - b_theta / 2.0) / w))
+
+    cont = ((1.0 - eps) * _lorentzian_sum(num, w, f, _density)
+            + params.linf_sq * (carrier * window + _lorentzian_sum(num, w, f, spread)))
+    return PhasorPsdValue(delta_weight=(1.0 - eps) * carrier,
+                          continuous=cont if cont.ndim else float(cont))
 
 
 def composite_psd(model: CompositeModel | OscillatorParams, f) -> float | np.ndarray:

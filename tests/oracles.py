@@ -128,6 +128,30 @@ def phasor_total_power(params, psd_fn, epsabs: float = 1e-12) -> float:
     return probe.delta_weight + 2.0 * (v1 + v2 + v3)
 
 
+def phasor_continuous_quadosc(params, f: float, dps: int = 20) -> float:
+    """Continuous phasor density of a PLL-locked model at f, by mpmath.
+
+    2 * integral_0^inf (R_h(tau) - exp(-c)) cos(2 pi f tau) dtau, with
+    R_h(tau) = exp(-c (1 - exp(-2 pi f3db tau))) and c = pi amp / f3db,
+    the lag in units of 1/(2 pi f3db); R_h - exp(-c) is written
+    exp(-c) expm1(c exp(-u)) so that its tail keeps its digits.
+    """
+    with mp.workdps(dps):
+        f3db = mp.mpf(params.f3db)
+        c = mp.pi * mp.mpf(params.amp) / f3db
+        carrier = mp.exp(-c)
+
+        def r(u):
+            return carrier * mp.expm1(c * mp.exp(-u))
+
+        if f == 0.0:
+            v = mp.quad(r, [0, 1, mp.inf])
+        else:
+            omega = mp.mpf(f) / f3db
+            v = mp.quadosc(lambda u: r(u) * mp.cos(omega * u), [0, mp.inf], omega=omega)
+        return float(2 * v / (2 * mp.pi * f3db))
+
+
 def folded_lorentzian(amp: float, f3db: float, f: np.ndarray, fs: float,
                       nfold: int = 40) -> np.ndarray:
     """Aliased sampled-process PSD: the Lorentzian folded at multiples of fs."""

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import phasenoise
 from phasenoise import (OscillatorParams, ThreeGppParams, __version__, cli, db, gen_composite,
-                        load_points, pn_psd, save_points, sir_for_pulse, threegpp_psd, timegen,
-                        undb)
+                        load_points, phasor_psd, pn_psd, save_points, sir_for_pulse,
+                        threegpp_psd, timegen, undb)
 from phasenoise.cli import run
 from phasenoise.timegen import load_stream_bin
 
@@ -198,6 +198,17 @@ class TestPsd:
         lines = data_section(out).splitlines()
         assert lines[0] == "freq_hz,psd_db,points_db"
         assert len(lines) == 5
+
+    def test_phasor_at_a_vanishing_corner(self, capsys):
+        # c = pi*amp/f3db ~ 5e21: the free-running phasor form at every row
+        code, out, err = run_capture(capsys, [
+            "psd", "--f3db", "1e-20", "--l100-db", "-88", "--phasor", "--n", "5"])
+        assert code == 0 and err == ""
+        rows = np.array([[float(x) for x in ln.split(",")]
+                         for ln in data_section(out).splitlines()[1:]])
+        assert rows.shape == (5, 3) and np.all(np.isfinite(rows[:, 2]))
+        free = OscillatorParams.from_db(0.0, -88.0)
+        assert np.array_equal(rows[:, 2], db(phasor_psd(free, rows[:, 0]).continuous))
 
     def test_composite_flag(self, capsys):
         # the 2 MHz corner lies above f_ref/10: its model entry carries the flag
@@ -484,6 +495,7 @@ _SAT_ARGS = ["--f3db", "10", "--l100-db", "-88", "--linf-db", "-114"]
     (["--help"], ("scipy",)),
     (["errors", "--sweep-rho", "1e-4:1e-2:5"], ("scipy",)),
     (["psd", "--f3db", "10", "--l100-db", "-88", "--fmin", "1", "--fmax", "1e6"], ("scipy",)),
+    (["psd", "--f3db", "10", "--l100-db", "-88", "--phasor"], ("scipy",)),
     (["fit", "--points", "sat.csv", "--k", "2"], ("scipy.signal", "scipy.integrate")),
     (["validate", "--f3db", "0", "--l100-db", "-100", "--ts", "1e-7", "--n", "65536"],
      ("scipy",)),
@@ -492,7 +504,7 @@ _SAT_ARGS = ["--f3db", "10", "--l100-db", "-88", "--linf-db", "-114"]
     (["ber", "--pn", "dt", *_SAT_ARGS, "--n-symbols", "20000", "--esn0-db", "8"], ("scipy",)),
     (["sir", "--rho", "1e-3", "--rolloffs", "0.5", "--n-symbols", "20000"],
      ("scipy.signal", "scipy.integrate")),
-], ids=["help", "errors", "psd", "fit", "validate_free_running", "gen_sat", "validate_sat",
+], ids=["help", "errors", "psd", "psd_phasor", "fit", "validate_free_running", "gen_sat", "validate_sat",
         "ber_dt_sat", "sir"])
 def test_commands_load_only_the_scipy_they_call(tmp_path, monkeypatch, argv, absent):
     # each scipy subpackage is imported by the function that calls it, and
@@ -645,7 +657,7 @@ class TestFit:
      "35adc4fe5484aae99eea1a5331475f076a6bbdf00a4cbd830974418531abab29"),
     (["psd", "--f3db", "10", "--l100-db", "-88", "--fmin", "1", "--fmax", "1e6",
       "--n", "13", "--phasor"],
-     "2758bd08e0174303ba655a6e2740dc151139c926a80f94984ad473a3c91d21ea"),
+     "9f4f14dae4f2f12b478f29e41cdf2139262dadb21ef9a3e4466fb8ede7d6f205"),
     (["fit", "--points", "sat.csv", "--k", "2"],
      "4c1ffb0bc43400f7f01c002a91609ccb67b90fc21f497656f1333f6ed85a54a3"),
     # flagged free-running-like, the corner at the box edge

@@ -20,6 +20,7 @@ from phasenoise import (
     pn_psd,
     threegpp_psd,
 )
+from phasenoise import psd
 from phasenoise.psd import PhasorPsdValue
 
 import oracles
@@ -166,8 +167,7 @@ class TestPhasorPsd:
         OscillatorParams.from_db(49.790888101603, -88.0),  # general branch, c=1
     ])
     def test_power_unity(self, params):
-        power = oracles.phasor_total_power(
-            params, lambda f: phasor_psd(params, f, epsabs=1e-12))
+        power = oracles.phasor_total_power(params, lambda f: phasor_psd(params, f))
         assert power == pytest.approx(1.0, abs=1e-6)
 
     def test_general_matches_free_running_limit(self):
@@ -180,14 +180,15 @@ class TestPhasorPsd:
             want = phasor_psd(free, f).continuous
             assert got == pytest.approx(want, rel=0.02)
 
-    def test_general_matches_pll_limit(self):
-        # run the numeric path at a point deep in the high-f3db regime and
-        # compare with the closed-form branch it converges to
-        from phasenoise.psd import _phasor_continuous_general
+    def test_general_matches_pll_limit(self, monkeypatch):
+        # run the general expansion at a point deep in the high-f3db regime
+        # and compare with the closed-form branch it converges to
+        monkeypatch.setattr(psd, "PLL_BRANCH_FACTOR", math.inf)
         hw = math.pi * SAT.amp
         p = OscillatorParams(f3db=100.0 * hw, l100_sq=SAT.l100_sq)
+        assert phasor_psd(p, 0.0).delta_weight == math.exp(-hw / p.f3db)
         for f in [0.0, p.f3db / 2.0, p.f3db]:
-            got = _phasor_continuous_general(p, f)
+            got = phasor_psd(p, f).continuous
             want = p.amp / (p.f3db ** 2 + f ** 2)
             assert got == pytest.approx(want, rel=0.02)
         assert math.exp(-hw / p.f3db) == pytest.approx(1 - hw / p.f3db, rel=1e-4)
@@ -203,6 +204,45 @@ class TestPhasorPsd:
         cont = phasor_psd(pll, f).continuous
         assert abs(cont - pn_psd(OscillatorParams.from_db(1e4, -88.0), f)) \
             / pn_psd(pll, f) < 0.02
+        # the general branch (c ~ 5) at the calibration offset
+        cont = phasor_psd(SAT_NOFLOOR, SAT_NOFLOOR.f_ref).continuous
+        assert abs(cont - pn_psd(SAT_NOFLOOR, SAT_NOFLOOR.f_ref)) \
+            / pn_psd(SAT_NOFLOOR, SAT_NOFLOOR.f_ref) < 0.02
+
+    @pytest.mark.parametrize("c", [0.2, 5.0])
+    def test_general_matches_quadosc(self, c):
+        # the Lorentzian expansion against mpmath's transform of the
+        # autocorrelation, from the peak to 1e4 half-widths out
+        hw = SAT.phasor_halfwidth
+        p = OscillatorParams(f3db=hw / c, l100_sq=SAT.l100_sq)
+        for f in [0.0, hw, 100.0 * hw, 1e4 * hw]:
+            want = oracles.phasor_continuous_quadosc(p, f)
+            assert phasor_psd(p, f).continuous == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_free_running_limit(self):
+        # above c = FREE_RUNNING_LIMIT the free-running form itself; just
+        # below it the expansion, within 2/c of that form
+        hw = SAT.phasor_halfwidth
+        free = OscillatorParams(f3db=0.0, l100_sq=SAT.l100_sq)
+        f = np.concatenate([[0.0], np.logspace(-2, 9, 45)])
+        want = phasor_psd(free, f).continuous
+        c = psd.FREE_RUNNING_LIMIT * (1 + 1e-9)
+        got = phasor_psd(OscillatorParams(f3db=hw / c, l100_sq=SAT.l100_sq), f)
+        assert got.delta_weight == 0.0 and np.array_equal(got.continuous, want)
+        c = psd.FREE_RUNNING_LIMIT * (1 - 1e-9)
+        got = phasor_psd(OscillatorParams(f3db=hw / c, l100_sq=SAT.l100_sq), f)
+        assert got.delta_weight == 0.0
+        assert np.all(np.abs(got.continuous / want - 1.0) <= 2.0 / c)
+
+    def test_value_independent_of_other_frequencies(self):
+        # each value has the same bits alone, in a short array and in a
+        # block larger than one piece of the term sum
+        f = np.concatenate([np.logspace(-1, 7, 7000), [0.0]])
+        for p in (SAT_NOFLOOR, OscillatorParams(f3db=SAT.phasor_halfwidth / 5e4,
+                                                l100_sq=SAT.l100_sq)):
+            whole = phasor_psd(p, f).continuous
+            assert np.array_equal(phasor_psd(p, f[::997]).continuous, whole[::997])
+            assert [phasor_psd(p, x).continuous for x in f[::997]] == list(whole[::997])
 
     def test_floor_rejected(self):
         with pytest.raises(ValueError):
@@ -228,6 +268,21 @@ class TestPhasorPsdWithFloor:
         assert flat == pytest.approx(p.linf_sq, rel=0.01)
         # in-band simplification: base + floor within 1 %
         assert v.continuous == pytest.approx(base + p.linf_sq, rel=0.01)
+
+    def test_general_flat_term_is_the_convolution(self):
+        # general branch (c ~ 5): the flat term is linf_sq times the carrier
+        # in band plus the continuous density integrated over the band
+        b = 1e6
+        for f in [0.0, b / 2.0, 1e5, 2e6]:
+            flat = (phasor_psd_with_floor(SAT, f, b_theta=b).continuous
+                    - (1.0 - SAT.linf_sq * b) * phasor_psd(SAT_NOFLOOR, f).continuous)
+            lo, hi = f - b / 2.0, f + b / 2.0
+            edges = sorted({lo, hi, *(x for x in (-1e3, 0.0, 1e3) if lo < x < hi)})
+            mass = sum(quad(lambda x: phasor_psd(SAT_NOFLOOR, x).continuous, a, z,
+                            epsabs=0.0, epsrel=1e-12, limit=500)[0]
+                       for a, z in zip(edges, edges[1:]))
+            carrier = phasor_psd(SAT_NOFLOOR, f).delta_weight if abs(f) <= b / 2.0 else 0.0
+            assert flat == pytest.approx(SAT.linf_sq * (carrier + mass), rel=1e-9), f
 
     def test_taylor_error_bound(self):
         p = OscillatorParams.from_db(0.0, -90.0, -120.0)
