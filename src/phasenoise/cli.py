@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import signal
 import sys
 
 import numpy as np
@@ -473,10 +474,23 @@ def run(argv=None) -> int:
     except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"phasenoise: error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        # a second interrupt, as `timeout -s INT` sends to the process group
+        # too, must not cut the message short with a traceback
+        previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            print("phasenoise: interrupted", file=sys.stderr)
+        finally:
+            signal.signal(signal.SIGINT, previous or signal.SIG_DFL)
+        return 130
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    # the command is over: a late interrupt must not end the process in a
+    # traceback instead of its exit code
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,14 +3,17 @@
 Fits a sum of at most K Lorentzian processes plus one shared white floor
 to (frequency, dB level) point sets such as datasheet curves, masks, or
 the multi-pole/zero cellular model.  The objective is the RMS dB error
-over the supplied points, minimized as a least-squares problem (scipy's
-trust-region-reflective solver, given the exact Jacobian of the dB
-residuals) inside a box derived from the points, from deterministic
-slope-based starts.  A greedy stage that adds nothing ends the greedy
-pass; the later stages are flagged degenerate.  ``FitResult.iterations``
-counts the residual evaluations performed; the solver spends none on
-derivatives, and the Jacobian reuses the model terms of the point just
-evaluated.
+over the supplied points, minimized as a least-squares problem inside a
+box derived from the points, from deterministic slope-based starts, by a
+bounded Levenberg-Marquardt solver in numpy (``_optimize``) on the exact
+Jacobian of the dB residuals.  Its tolerances are scipy's least_squares
+defaults (FTOL = XTOL = GTOL = 1e-8, at most 100 evaluations per
+variable); a fit is ``converged`` if the solve that produced its result
+stopped on a tolerance rather than on that budget.  A greedy stage that
+adds nothing ends the greedy pass; the later stages are flagged
+degenerate.  ``FitResult.iterations`` counts the residual evaluations
+performed; the solver spends none on derivatives, and the Jacobian
+reuses the model terms of the point just evaluated.
 """
 
 from __future__ import annotations
@@ -28,6 +31,15 @@ from .spectral import db, undb
 F_REF = 1e5
 # a member, or the floor, is dropped if the RMS rises by at most this, dB
 DROP_TOL_DB = 1e-3
+# the solver's tolerances on the relative reduction of the mean square,
+# the relative step and the gradient, and its evaluation budget per
+# variable: the defaults of scipy's least_squares
+FTOL = XTOL = GTOL = 1e-8
+MAX_NFEV_PER_VAR = 100
+# the solver's first damping, relative to the diagonal of J'J, and the
+# largest at which a step may end the fit on FTOL
+LAMBDA0, LAMBDA_FTOL = 1e-3, 100.0
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -148,33 +160,87 @@ def _initial_guess(freqs: np.ndarray, levels: np.ndarray) -> tuple[list[float], 
     return [math.log10(f3db), l100_db, linf_db], flags
 
 
+def _damped_step(hess, grad, damping, hold, x, lb, ub) -> np.ndarray | None:
+    """Solution p of (hess + diag(damping)) p = -grad over the variables not
+    held; a variable at a bound that p would move out of the box is held
+    too and the rest solved again.  None if the system is singular."""
+    a, step = hess.copy(), np.zeros(len(x))
+    a.flat[::len(x) + 1] += damping
+    while not hold.all():
+        free = ~hold
+        try:
+            step[free] = np.linalg.solve(a[free][:, free], -grad[free])
+        except np.linalg.LinAlgError:
+            return None
+        out = (x <= lb) & (step < 0.0) | (x >= ub) & (step > 0.0)
+        if not out.any():
+            break
+        hold = hold | out
+        step[hold] = 0.0
+    return step if np.isfinite(step).all() else None
+
+
 def _optimize(freqs, levels, x0) -> tuple[np.ndarray, float, int, bool]:
-    """Least-squares fit of the dB residuals from x0, clipped into the box.
+    """Least-squares fit of the dB residuals r from x0, clipped into the box.
 
-    Returns (x, RMS dB residual, residual evaluations, converged).  The
-    solver accepts only steps that lower the residual, so the result is
-    never worse than the clipped start.
+    A bounded Levenberg-Marquardt solver on the exact Jacobian J.  Each
+    step solves (J'J + lam D) p = -J'r, D the diagonal of J'J, holding at
+    its bound each variable whose gradient or step points out of the box
+    (``_damped_step``), and is clipped into the box.  A step is accepted
+    only if it lowers the residual, and lam then follows Nielsen's rule; a
+    rejected step, or a singular system, multiplies lam by a factor that
+    doubles with each rejection in a row.  Returns (x, RMS dB residual,
+    residual evaluations, converged).  ``converged`` is true if the solver
+    stopped on a tolerance rather than on the budget of MAX_NFEV_PER_VAR
+    evaluations per variable: the largest gradient component of a free
+    variable is at most GTOL; a step is at most XTOL relative to x; or an
+    accepted step with lam <= LAMBDA_FTOL, so not one the damping shrank
+    to nothing, lowered the mean square by at most FTOL relative, both as
+    evaluated and as the linear model predicted.
     """
-    from scipy.optimize import least_squares
-
-    # x and _terms of the last residual evaluation: the solver asks for the
-    # Jacobian at the point it has just evaluated
-    evals, last = 0, (None, None)
+    lb, ub = _box(freqs, levels, len(x0))
+    evals = 0
 
     def residuals(x):
-        nonlocal evals, last
+        nonlocal evals
         evals += 1
-        last = (x.copy(), _terms(freqs, x))
-        return 10.0 * np.log10(last[1][3]) - levels
+        terms = _terms(freqs, x)
+        r = 10.0 * np.log10(terms[3]) - levels
+        return r, terms, float(np.mean(r ** 2))
 
-    def jacobian(x):
-        terms = last[1] if np.array_equal(x, last[0]) else _terms(freqs, x)
-        return _jacobian_db(terms, len(x))
-
-    lb, ub = _box(freqs, levels, len(x0))
-    res = least_squares(residuals, np.clip(x0, lb, ub), jac=jacobian,
-                        bounds=(lb, ub), method="trf")
-    return res.x, float(np.sqrt(np.mean(res.fun ** 2))), evals, bool(res.success)
+    x = np.clip(x0, lb, ub)
+    r, terms, cost = residuals(x)
+    lam, nu, fresh, converged = LAMBDA0, 2.0, True, False
+    while not converged and evals < MAX_NFEV_PER_VAR * len(x):
+        if fresh:
+            jac = _jacobian_db(terms, len(x))
+            grad, hess = jac.T @ r, jac.T @ jac
+            hold = (x <= lb) & (grad > 0.0) | (x >= ub) & (grad < 0.0)
+            if np.max(np.abs(grad[~hold]), initial=0.0) <= GTOL:
+                converged = True
+                break
+        step = _damped_step(hess, grad, lam * np.maximum(hess.diagonal(), _TINY), hold, x, lb, ub)
+        if step is None:
+            lam, nu, fresh = lam * nu, 2.0 * nu, False
+            continue
+        x_new = np.clip(x + step, lb, ub)
+        step = x_new - x
+        if math.sqrt(step @ step) <= XTOL * (XTOL + math.sqrt(x @ x)):
+            converged = True
+            break
+        r_new, terms_new, cost_new = residuals(x_new)
+        # the drop in the mean square that the linear model predicts
+        js = jac @ step
+        ared, pred = cost - cost_new, -float(2.0 * (grad @ step) + js @ js) / len(r)
+        fresh = ared > 0.0
+        if fresh:
+            converged = lam <= LAMBDA_FTOL and ared <= FTOL * cost and pred <= FTOL * cost
+            rho = min(ared / pred, 1.0) if pred > 0.0 else 1.0
+            lam, nu = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), _TINY), 2.0
+            x, r, terms, cost = x_new, r_new, terms_new, cost_new
+        else:
+            lam, nu = lam * nu, 2.0 * nu
+    return x, math.sqrt(cost), evals, converged
 
 
 def _member_params(x: np.ndarray) -> tuple[OscillatorParams, ...]:

@@ -10,7 +10,10 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import least_squares
 from scipy.signal import lfilter
+
+from phasenoise.fitting import _box, _jacobian_db, _terms
 
 mp.mp.dps = 50
 
@@ -281,6 +284,34 @@ def slope_segments_loop(freqs: np.ndarray, levels: np.ndarray) -> list[tuple[int
             merged.append(run)
     return [(i0, i1) for i0, i1 in merged
             if math.log10(freqs[i1] / freqs[i0]) >= 0.25]
+
+
+def trf_optimize(freqs, levels, x0) -> tuple[np.ndarray, float, int, bool]:
+    """``fitting._optimize`` by scipy's trust-region-reflective solver.
+
+    The form the fitter had before its own Levenberg-Marquardt solver, kept
+    as the reference it must match: the same model, exact Jacobian, box and
+    clipped start, scipy's default tolerances.  Returns (x, RMS dB residual,
+    residual evaluations, converged).
+    """
+    # x and _terms of the last residual evaluation: the solver asks for the
+    # Jacobian at the point it has just evaluated
+    evals, last = 0, (None, None)
+
+    def residuals(x):
+        nonlocal evals, last
+        evals += 1
+        last = (x.copy(), _terms(freqs, x))
+        return 10.0 * np.log10(last[1][3]) - levels
+
+    def jacobian(x):
+        terms = last[1] if np.array_equal(x, last[0]) else _terms(freqs, x)
+        return _jacobian_db(terms, len(x))
+
+    lb, ub = _box(freqs, levels, len(x0))
+    res = least_squares(residuals, np.clip(x0, lb, ub), jac=jacobian,
+                        bounds=(lb, ub), method="trf")
+    return res.x, float(np.sqrt(np.mean(res.fun ** 2))), evals, bool(res.success)
 
 
 def oversampled_chain(seq: np.ndarray, taps: np.ndarray, osf: int, theta: np.ndarray,
