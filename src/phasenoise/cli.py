@@ -36,8 +36,8 @@ from .psd import composite_psd, phasor_psd, pn_autocorr, phasor_autocorr, threeg
 # perfbench/spans.py wraps them on this module
 from .spectral import WelchAccumulator, db, undb, welch_psd, compare_psd  # noqa: F401
 from .timegen import (CompositeGenerator, format_rows, gen_composite,  # noqa: F401
-                      open_text, save_stream_bin, save_stream_csv, stream_columns,
-                      write_csv, write_stream_bin)
+                      open_text, save_stream_bin, save_stream_csv, write_csv,
+                      write_stream_bin, write_stream_csv)
 
 # rows per block of every table, and samples drawn per block by gen and
 # validate: their memory is bounded by it, not by --n
@@ -243,8 +243,7 @@ def _cmd_gen(args) -> int:
         return 0
     meta = {"tool": "phasenoise", "version": __version__, "model": _model_meta(model),
             "ts": repr(args.ts), "seed": args.seed} if to_stdout else {}
-    OutputWriter(args.output, "csv", meta).write(["k", "theta_rad"],
-                                                 stream_columns(blocks, args.n))
+    write_stream_csv(args.output, meta, args.n, blocks)
     return 0
 
 
@@ -475,17 +474,21 @@ def run(argv=None) -> int:
         print(f"phasenoise: error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
-        # a second interrupt, as `timeout -s INT` sends to the process group
-        # too, must not cut the message short with a traceback
-        previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
-        try:
-            print("phasenoise: interrupted", file=sys.stderr)
-        finally:
-            signal.signal(signal.SIGINT, previous or signal.SIG_DFL)
+        print("phasenoise: interrupted", file=sys.stderr)
         return 130
 
 
+def _interrupt_once(signum, frame):
+    """SIGINT handler of the command process: the first interrupt ends the
+    command; later ones, as `timeout -s INT` sends to the process group too,
+    are ignored, so that no second ``KeyboardInterrupt`` cuts short the
+    removal of a partial ``-o`` file or the message."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    raise KeyboardInterrupt
+
+
 def main() -> None:
+    signal.signal(signal.SIGINT, _interrupt_once)
     code = run()
     # the command is over: a late interrupt must not end the process in a
     # traceback instead of its exit code

@@ -5,10 +5,11 @@ noise applied either on the oversampled (continuous-time surrogate)
 waveform or directly on the symbol-rate samples, matched filtering,
 pilot-aided phase tracking, and SIR/EVM/BER/SER measurement.  Shaping,
 matched filter and direct-path gain are one overlap-save FFT block
-filter (``fft_filter`` in ``_oversampled``) that interpolates or
-decimates by osf in the frequency domain; the decimating filters compute
-only the symbol instants the link consumes.  The blocks lie on a fixed
-grid of absolute positions, and their cost is nearly flat in the span.
+filter (``fft_filter`` in ``_oversampled``, on ``numpy.fft``) that
+interpolates or decimates by osf in the frequency domain; the decimating
+filters compute only the symbol instants the link consumes.  The blocks
+lie on a fixed grid of absolute positions, and their cost is nearly flat
+in the span.
 
 A run streams in chunks of at most ``CHUNK_SYMBOLS`` transmitted symbols,
 made of whole pieces: stretches of an information run cut every
@@ -469,11 +470,34 @@ def _complex_awgn(rng: np.random.Generator, n: int, variance: float) -> np.ndarr
 
 
 def _phasor(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(j*theta), built in ``out`` (by default a new array) without a complex
-    ``1j*theta`` temporary, whose real part, +-0, has exp(+-0) = 1 exactly."""
+    """exp(j*theta) as cos(theta) + j*sin(theta), built in ``out`` (by default
+    a new array) without a complex temporary."""
     out = np.empty(theta.shape, dtype=complex) if out is None else out
-    out.real, out.imag = 0.0, theta
-    return np.exp(out, out=out)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+def _fast_len(n: int) -> int:
+    """The smallest n' >= n whose only prime factors are 2, 3, 5, 7 and 11:
+    the complex FFT lengths that pocketfft transforms fastest."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _taps_spectrum(taps: np.ndarray, size: int) -> np.ndarray:
+    """The length-``size`` DFT of the real ``taps``, built as ``scipy.fft.fft``
+    builds it for real input: the ``rfft`` half and its Hermitian mirror.
+    ``np.fft.fft`` of the taps differs in the last bits, and so would the
+    chain's outputs."""
+    r = np.fft.rfft(taps, size)
+    return np.concatenate([r, np.conj(r[1:size - r.size + 1][::-1])])
 
 
 @dataclass(frozen=True)
@@ -571,18 +595,16 @@ def _oversampled(cfg: LinkConfig, chunks):
     chunk waits in ``pending`` for its own; the tail pads and zeros
     complete the last block.  A block's input does not depend on the chunk
     sizes, so neither do the bits of its outputs.  Filter cost per symbol
-    is set by the FFT length, next_fast_len(B + span) symbols: nearly flat
+    is set by the FFT length, ``_fast_len(B + span)`` symbols: nearly flat
     in span.
     """
-    from scipy.fft import fft, ifft, next_fast_len
-
     osf, span, B = cfg.osf, cfg.filter_span, _BLOCK
     h = rrc_taps(cfg.rolloff, span, osf)
-    size = next_fast_len(B + span) * osf
+    size = _fast_len(B + span) * osf
     # tap spectra of shaping, matched filter and direct-path gain
-    h_tx = fft(h, size)
-    h_mf = fft(h / osf, size) / osf
-    h_g0 = fft(h * h / osf, size) / osf
+    h_tx = _taps_spectrum(h, size)
+    h_mf = _taps_spectrum(h / osf, size) / osf
+    h_g0 = _taps_spectrum(h * h / osf, size) / osf
 
     def fft_filter(x: np.ndarray, spectrum: np.ndarray, up: bool) -> np.ndarray:
         """One overlap-save block of a real-tap FIR between the symbol rate and
@@ -596,9 +618,9 @@ def _oversampled(cfg: LinkConfig, chunks):
         """
         n = spectrum.size // osf
         if up:
-            return ifft((spectrum.reshape(osf, n) * fft(x, n)).ravel(), overwrite_x=True)
-        folded = (fft(x, spectrum.size) * spectrum).reshape(osf, n).sum(axis=0)
-        return ifft(folded, overwrite_x=True)
+            return np.fft.ifft((spectrum.reshape(osf, n) * np.fft.fft(x, n)).ravel())
+        folded = (np.fft.fft(x, spectrum.size) * spectrum).reshape(osf, n).sum(axis=0)
+        return np.fft.ifft(folded)
 
     pad_rng = _sub_rng(cfg.seed, _SEED_PAD)
     pads = Constellation("qpsk").map_bits(pad_rng.integers(0, 2, (2 * span, 2)))

@@ -311,10 +311,41 @@ def gen_composite(model, ts: float, n: int, seed: int) -> PnStream:
 _CSV_ROWS = 1 << 12
 
 
+@contextlib.contextmanager
+def _open_replacing(path, mode: str = "w"):
+    """``open(path, mode)`` for writing, where ``path`` changes only if the
+    block completes: the data go to a new file in the same directory, with
+    the permissions a plain ``open`` gives a new file, which is moved onto
+    ``path`` at the end and removed on any exception, an interrupt
+    included.  An existing ``path`` that is not a regular file, such as
+    /dev/stdout or a FIFO, is written in place, and "" fails as it is."""
+    if not path or os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode) as fh:
+            yield fh
+        return
+    if os.path.islink(path):  # keep the link, replace its target
+        path = os.path.realpath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(tmp, mode.replace("w", "x"))
+    except OSError as exc:  # name the path that was asked for
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def open_text(dest):
-    """A context of text output: stdout for None or "-", a path, or an open text file."""
+    """A context of text output: stdout for None or "-", a path (see
+    ``_open_replacing``), or an open text file."""
     if isinstance(dest, (str, os.PathLike)) and dest != "-":
-        return open(dest, "w")
+        return _open_replacing(dest)
     return contextlib.nullcontext(sys.stdout if dest is None or dest == "-" else dest)
 
 
@@ -373,7 +404,7 @@ def write_stream_bin(path, meta: dict, n: int, blocks) -> None:
     """Binary dump: magic line, JSON header line (``meta`` with ``n`` and
     ``dtype``), then the n samples of ``blocks`` as little-endian float64."""
     header = {**meta, "n": n, "dtype": "<f8"}
-    with open(path, "wb") as fh:
+    with _open_replacing(path, "wb") as fh:
         fh.write(_BIN_MAGIC)
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
         for _, block in stream_columns(blocks, n):  # raises unless they hold n samples

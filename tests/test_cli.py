@@ -497,32 +497,28 @@ _SCIPY_CHILD = ("import contextlib, io, json, sys\n"
 _SAT_ARGS = ["--f3db", "10", "--l100-db", "-88", "--linf-db", "-114"]
 
 
-@pytest.mark.parametrize("argv, absent", [
-    (["--help"], ("scipy",)),
-    (["errors", "--sweep-rho", "1e-4:1e-2:5"], ("scipy",)),
-    (["psd", "--f3db", "10", "--l100-db", "-88", "--fmin", "1", "--fmax", "1e6"], ("scipy",)),
-    (["psd", "--f3db", "10", "--l100-db", "-88", "--phasor"], ("scipy",)),
-    (["fit", "--points", "sat.csv", "--k", "2"], ("scipy",)),
-    (["validate", "--f3db", "0", "--l100-db", "-100", "--ts", "1e-7", "--n", "65536"],
-     ("scipy",)),
-    (["gen", *_SAT_ARGS, "--ts", "1e-7", "--n", "10000"], ("scipy",)),
-    (["validate", *_SAT_ARGS, "--ts", "1e-7", "--n", "65536"], ("scipy",)),
-    (["ber", "--pn", "dt", *_SAT_ARGS, "--n-symbols", "20000", "--esn0-db", "8"], ("scipy",)),
-    (["sir", "--rho", "1e-3", "--rolloffs", "0.5", "--n-symbols", "20000"],
-     ("scipy.signal", "scipy.integrate")),
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["errors", "--sweep-rho", "1e-4:1e-2:5"],
+    ["psd", "--f3db", "10", "--l100-db", "-88", "--fmin", "1", "--fmax", "1e6"],
+    ["psd", "--f3db", "10", "--l100-db", "-88", "--phasor"],
+    ["fit", "--points", "sat.csv", "--k", "2"],
+    ["validate", "--f3db", "0", "--l100-db", "-100", "--ts", "1e-7", "--n", "65536"],
+    ["gen", *_SAT_ARGS, "--ts", "1e-7", "--n", "10000"],
+    ["validate", *_SAT_ARGS, "--ts", "1e-7", "--n", "65536"],
+    ["ber", "--pn", "dt", *_SAT_ARGS, "--n-symbols", "20000", "--esn0-db", "8"],
+    ["ber", "--pn", "ct", *_SAT_ARGS, "--n-symbols", "20000", "--esn0-db", "8"],
+    ["sir", "--rho", "1e-3", "--rolloffs", "0.5", "--n-symbols", "20000"],
 ], ids=["help", "errors", "psd", "psd_phasor", "fit", "validate_free_running", "gen_sat", "validate_sat",
-        "ber_dt_sat", "sir"])
-def test_commands_load_only_the_scipy_they_call(tmp_path, monkeypatch, argv, absent):
-    # each scipy subpackage is imported by the function that calls it, and
-    # mpmath by none
+        "ber_dt_sat", "ber_ct_sat", "sir"])
+def test_commands_load_only_the_scipy_they_call(tmp_path, monkeypatch, argv):
+    # no command calls scipy or mpmath, so none imports them
     monkeypatch.chdir(tmp_path)
     freqs = np.logspace(1, 8, 120)
     sat = OscillatorParams.from_db(10.0, -88.0, -114.0)
     save_points(np.column_stack([freqs, 10 * np.log10(pn_psd(sat, freqs))]), "sat.csv")
     lines = _child_stdout(_SCIPY_CHILD, argv).splitlines()
-    on_import, on_cli_import, after = map(json.loads, lines)
-    assert on_import == on_cli_import == []
-    assert not [m for m in after if m.startswith((*absent, "mpmath"))], after
+    assert list(map(json.loads, lines)) == [[], [], []]
 
 
 def test_mpf_argument_after_import():
@@ -536,9 +532,9 @@ def test_mpf_argument_after_import():
 @pytest.mark.skipif(sys.platform == "win32", reason="sends SIGINT")
 @pytest.mark.parametrize("second_after_s", [None, 0.005])
 def test_interrupt_is_one_line_and_exit_130(tmp_path, second_after_s):
-    # a `gen` of 10^8 rows interrupted once its output file holds data, by
-    # one SIGINT, or by a second one while the first unwinds (`timeout -s
-    # INT` sends one to the process and one to its group)
+    # a `gen` of 10^8 rows interrupted once it has written data, by one
+    # SIGINT, or by a second one while the first unwinds (`timeout -s INT`
+    # sends one to the process and one to its group); it leaves no file
     out = tmp_path / "out.csv"
     child = subprocess.Popen([sys.executable, "-m", "phasenoise", "gen", *_SAT_ARGS, "--ts", "1e-7",
                               "--n", "100000000", "-o", str(out)],
@@ -546,7 +542,7 @@ def test_interrupt_is_one_line_and_exit_130(tmp_path, second_after_s):
                              text=True)
     try:
         deadline = time.monotonic() + 120.0
-        while not (out.exists() and out.stat().st_size > 0):
+        while not any(f.stat().st_size for f in tmp_path.iterdir()):
             assert child.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
         child.send_signal(signal.SIGINT)
@@ -560,6 +556,57 @@ def test_interrupt_is_one_line_and_exit_130(tmp_path, second_after_s):
             child.wait()
     assert child.returncode == 130
     assert err == "phasenoise: interrupted\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_output_leaves_an_existing_file_as_it_was(tmp_path, monkeypatch):
+    # the model fails on the second block of rows, after the first is written
+    out = tmp_path / "psd.csv"
+    out.write_text("an earlier table\n")
+    model_psd, calls = cli.composite_psd, []
+
+    def failing_psd(model, f):
+        calls.append(f.size)
+        if len(calls) > 2:  # after rows 0 and n-1 (see cli._table) and one block
+            raise ValueError("model failed")
+        return model_psd(model, f)
+
+    monkeypatch.setattr(cli, "_BLOCK", 100)
+    monkeypatch.setattr(cli, "composite_psd", failing_psd)
+    assert run(["psd", "--f3db", "10", "--l100-db", "-88", "--n", "300", "-o", str(out)]) == 1
+    assert calls == [2, 100, 100]
+    assert out.read_text() == "an earlier table\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["psd.csv"]
+
+
+@pytest.mark.parametrize("name", [os.path.join("missing", "g.csv"), ""])
+def test_output_that_cannot_be_opened_names_the_path(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_capture(capsys, ["gen", *_SAT_ARGS, "--ts", "1e-7", "--n", "10", "-o", name])
+    assert code == 1
+    assert err == f"phasenoise: error: [Errno 2] No such file or directory: {name!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="makes a symlink")
+def test_output_through_a_symlink_replaces_its_target(tmp_path):
+    (tmp_path / "link.bin").symlink_to("target.bin")
+    argv = ["gen", *_SAT_ARGS, "--ts", "1e-7", "--n", "100", "--binary", "-o"]
+    assert run([*argv, str(tmp_path / "link.bin")]) == 0
+    assert run([*argv, str(tmp_path / "plain.bin")]) == 0
+    assert (tmp_path / "link.bin").is_symlink()
+    assert (tmp_path / "target.bin").read_bytes() == (tmp_path / "plain.bin").read_bytes()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["link.bin", "plain.bin", "target.bin"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_output_to_dev_stdout_is_written_in_place(tmp_path):
+    # a path that is not a regular file cannot be replaced: it is written
+    argv = ["gen", *_SAT_ARGS, "--ts", "1e-7", "--n", "1000"]
+    assert run([*argv, "-o", str(tmp_path / "g.csv")]) == 0
+    child = subprocess.run([sys.executable, "-m", "phasenoise", *argv, "-o", "/dev/stdout"],
+                           env=_child_env(), capture_output=True, check=True, timeout=60)
+    assert child.stdout == (tmp_path / "g.csv").read_bytes()
 
 
 class TestSirBer:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.fft import fft as scipy_fft, next_fast_len
 from scipy.signal import fftconvolve
 from scipy.special import erfc
 
@@ -159,6 +160,40 @@ class TestPolyphaseChain:
     @pytest.mark.parametrize("span", [16, 96])
     def test_single_symbol(self, span):
         self._check(5, 0.05, span, 1, [])
+
+
+class TestNumpyFftPieces:
+    """The chain's numpy pieces against the scipy.fft calls and the complex
+    ``exp`` that they replaced, on the numpy kernels of the CPU that runs
+    the tests."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12])
+    def test_phasor_is_the_complex_exp_bit_for_bit(self, scale):
+        theta = np.random.default_rng(5).standard_normal(150_000) * scale
+        theta[:2] = 0.0, -0.0
+        ref = np.empty(theta.shape, dtype=complex)
+        ref.real, ref.imag = 0.0, theta
+        np.exp(ref, out=ref)
+        assert linksim._phasor(theta).tobytes() == ref.tobytes()
+        out = np.zeros(theta.size + 3, dtype=complex)
+        view = out[2:-1]
+        assert linksim._phasor(theta, out=view) is view
+        assert view.tobytes() == ref.tobytes() and not out[[0, 1, -1]].any()
+
+    def test_fast_len_is_next_fast_len(self):
+        ns = range(1, 20_000)
+        assert [linksim._fast_len(n) for n in ns] == [next_fast_len(n) for n in ns]
+
+    @pytest.mark.parametrize("span", [16, 17, 32, 64, 96, 128])
+    @pytest.mark.parametrize("osf", [2, 3, 5, 8])
+    def test_taps_spectrum_is_the_complex_fft(self, span, osf):
+        # at the chain's lengths, odd ones included; equal as numbers (the
+        # imaginary zeros at 0 and size/2 may differ in sign)
+        size = linksim._fast_len(linksim._BLOCK + span) * osf
+        for rolloff in np.linspace(0.0, 1.0, 11):
+            h = rrc_taps(rolloff, span, osf)
+            for taps in (h, h / osf, h * h / osf):
+                assert np.array_equal(linksim._taps_spectrum(taps, size), scipy_fft(taps, size))
 
 
 class TestConstellations:
