@@ -30,6 +30,7 @@ from .analysis import (
     eta_isi,
     gamma0,
     normalized_aliasing,
+    pulse_gammas,
     rho,
     sir_for_pulse,
     sir_from_rho,
@@ -76,7 +77,7 @@ __all__ = [
     "gen_composite", "gen_white_floor", "gen_wiener", "l0_sq_from_l100",
     "load_points", "measure_sir", "member_seed", "normalized_aliasing",
     "phasor_autocorr", "phasor_psd", "phasor_psd_with_floor",
-    "pilot_phase_track", "pn_autocorr", "pn_psd", "rho", "rrc_taps",
+    "pilot_phase_track", "pn_autocorr", "pn_psd", "pulse_gammas", "rho", "rrc_taps",
     "save_points", "simulate_link", "sir_for_pulse", "sir_from_rho", "sir_from_sigma_u",
     "sum_gamma", "threegpp_psd", "undb", "welch_psd", "wiener_sigma",
 ]

@@ -1,8 +1,7 @@
 """Closed-form error metrics of the symbol-rate phase-noise channel.
 
-All expressions assume a free-running oscillator, and all but
-``sir_for_pulse`` the ideal unit-energy sinc shaping pulse; they are
-functions of the single ratio
+The expressions below assume a free-running oscillator and the ideal
+unit-energy sinc shaping pulse; they are functions of the single ratio
 
     rho = pi * f_ref^2 * l100_sq * Ts
 
@@ -22,19 +21,16 @@ with eta = eta_d + eta_isi.  The matched-filter gain moments are
 
 with sum_gamma - gamma0 = eta_isi, and SIR = gamma0 / eta_isi.
 
-Below rho ~ 1 the functions are evaluated through atan(rho)/log1p
-rearrangements that avoid catastrophic cancellation, above it through
-series in x = 1/rho that neither underflow nor overflow; every function also
-accepts an ``mpmath.mpf`` argument and then evaluates in that precision,
-which is needed to resolve differences such as sum_gamma - gamma0 at
-small rho beyond float64 resolution.  mpmath is imported only on that
-path, so the package itself never loads it.
+Below rho ~ 1 the functions use atan(rho)/log1p rearrangements free of
+catastrophic cancellation, above it series in x = 1/rho that neither
+underflow nor overflow.  Each also takes an ``mpmath.mpf`` and then
+evaluates in its precision (resolving e.g. sum_gamma - gamma0 at small
+rho beyond float64); only such a caller loads mpmath.
 
-``sir_for_pulse`` gives the same ratio gamma0 / sum_{l != 0} gamma_l
-for the sampled, truncated root-raised-cosine taps that the link
-simulator's oversampled chain uses, so it describes what
-``simulate_link`` measures; for roll-off 0 and a long span it tends to
-``sir_from_rho``.
+``pulse_gammas`` gives the gain moments gamma_l of the link simulator's
+sampled, truncated RRC pulse for any composite model, and so the SIR
+that ``simulate_link`` measures; ``sir_for_pulse`` is its free-running
+case and tends to ``sir_from_rho`` for roll-off 0 and a long span.
 """
 
 from __future__ import annotations
@@ -45,18 +41,18 @@ import sys
 import numpy as np
 
 from .linksim import rrc_taps
-from .params import OscillatorParams
-from .timegen import _ArScan
+from .params import OscillatorParams, as_composite
+from .timegen import ar_coefficients
 
 
-def _is_mp(x) -> bool:
-    # an mpf exists only once its caller has imported mpmath
+def _mp(x):
+    """mpmath if x is an mpf (one exists only once its caller imported mpmath), else None."""
     mp = sys.modules.get("mpmath")
-    return mp is not None and isinstance(x, mp.mpf)
+    return mp if mp is not None and isinstance(x, mp.mpf) else None
 
 
 def _coerce(rho):
-    if _is_mp(rho):
+    if _mp(rho):
         if not rho > 0:
             raise ValueError(f"rho must be > 0, got {rho}")
         return rho
@@ -69,18 +65,14 @@ def _coerce(rho):
 def _atan_minus_x_over_x2(x: float) -> float:
     """(atan(x) - x) / x**2 without cancellation, underflow or overflow for small x."""
     if x < 0.5:
-        s = 0.0
-        term = x
-        k = 1
-        sign = -1.0
+        s, term, k = 0.0, -x, 1
         while True:
-            c = sign * term / (2 * k + 1)
+            c = term / (2 * k + 1)
             s += c
             if abs(c) <= 1e-24 * abs(s):  # also when the terms underflow to 0
                 return s
-            term *= x * x
+            term *= -x * x
             k += 1
-            sign = -sign
     return (math.atan(x) - x) / (x * x)
 
 
@@ -133,8 +125,7 @@ def normalized_aliasing(params: OscillatorParams, ts: float) -> float:
 def eta(rho_value) -> float:
     """Total mean-square error of the symbol-rate channel model."""
     r = _coerce(rho_value)
-    if _is_mp(r):
-        import mpmath as mp
+    if mp := _mp(r):
         return 1 + (2 / mp.pi) * ((r / 2) * mp.log(1 + 1 / r ** 2) - mp.atan(1 / r))
     if r < 1.0:
         return (2.0 / math.pi) * (math.atan(r) + 0.5 * r * _log1p_inv_r2(r))
@@ -144,8 +135,7 @@ def eta(rho_value) -> float:
 def eta_d(rho_value) -> float:
     """Direct-path (power-loss) part of the mean-square error."""
     r = _coerce(rho_value)
-    if _is_mp(r):
-        import mpmath as mp
+    if mp := _mp(r):
         return 1 + (2 / mp.pi) * (r - (1 + r ** 2) * mp.atan(1 / r))
     if r < 1.0:
         return (2.0 / math.pi) * (r + (1.0 + r * r) * math.atan(r)) - r * r
@@ -156,8 +146,7 @@ def eta_d(rho_value) -> float:
 def eta_isi(rho_value) -> float:
     """Intersymbol-interference part of the mean-square error."""
     r = _coerce(rho_value)
-    if _is_mp(r):
-        import mpmath as mp
+    if mp := _mp(r):
         return (2 / mp.pi) * (r ** 2 * mp.atan(1 / r) + (r / 2) * mp.log(1 + 1 / r ** 2) - r)
     if r < 1.0:
         a = math.atan(r)
@@ -170,8 +159,7 @@ def eta_isi(rho_value) -> float:
 def gamma0(rho_value) -> float:
     """Mean-square direct matched-filter gain E{|g0|^2}; in (0, 1]."""
     r = _coerce(rho_value)
-    if _is_mp(r):
-        import mpmath as mp
+    if mp := _mp(r):
         return (2 / mp.pi) * (mp.atan(1 / r) * (1 - r ** 2)
                               - r * mp.log(1 + 1 / r ** 2) + r)
     if r < 1.0:
@@ -185,8 +173,7 @@ def gamma0(rho_value) -> float:
 def sum_gamma(rho_value) -> float:
     """Total matched-filter output power sum over all gain lags."""
     r = _coerce(rho_value)
-    if _is_mp(r):
-        import mpmath as mp
+    if mp := _mp(r):
         return (2 / mp.pi) * (mp.atan(1 / r) - (r / 2) * mp.log(1 + 1 / r ** 2))
     x = 1.0 / r
     return (2.0 / math.pi) * (math.atan(x) - 0.5 * _log1p_x2_over_x(x))
@@ -197,38 +184,58 @@ def sir_from_rho(rho_value) -> float:
     return gamma0(rho_value) / eta_isi(rho_value)
 
 
-def sir_for_pulse(rolloff: float, rho_value, filter_span: int = 32, osf: int = 5) -> float:
-    """SIR gamma0 / sum_{l != 0} gamma_l of the sampled RRC pulse, linear.
-
-    The pulse is ``rrc_taps(rolloff, filter_span, osf)``, the matched
-    filter of the oversampled link chain, and the phasor is free running
-    with bandwidth ratio rho.  With q_l[n] = h[n] h[n - l*osf] the gain
-    moments are the time-domain double sums
-
-        gamma_l = sum_{n,m} q_l[n] q_l[m] R_h((n - m) Ts/osf) / osf^2,
-
-    where R_h(tau) = exp(-2*pi*rho*|tau|/Ts) is the phasor
-    autocorrelation (``phasor_autocorr`` of the free-running model), and
-    gamma_{-l} = gamma_l.  The exponential kernel makes each double sum
-    a first-order recursion: with y = q_l filtered by 1/(1 - r z^-1),
-    r = exp(-2*pi*rho/osf), the sum is 2 q_l.y - q_l.q_l.  The filter is
-    the AR(1) generator's scan, ``timegen._ArScan``.
-    """
-    r = float(_coerce(rho_value))
+def _pulse_gammas(rolloff: float, filter_span: int, osf: int, corr_m1) -> np.ndarray:
+    # pulse_gammas for R given as corr_m1(d) = R(d) - 1 at lags d >= 1:
+    # (sum q_l)^2 + sum_{d != 0} c_l[d] (R(d) - 1), with c_l the autocorrelation
+    # of q_l; accurate also where R is near 1 and sum q_l nearly cancels
     h = rrc_taps(rolloff, filter_span, osf)
-    decay = math.exp(-2.0 * math.pi * r / osf)
-    gammas = []
+    r = corr_m1(np.arange(1.0, h.size))
+    out = np.empty(filter_span + 1)
     for lag in range(filter_span + 1):
         q = h[lag * osf:] * h[:h.size - lag * osf]
-        y = _ArScan(decay)(q)
-        gammas.append(2.0 * np.dot(q, y) - np.dot(q, q))
-    return float(gammas[0] / (2.0 * math.fsum(gammas[1:])))
+        size = 1 << (2 * q.size - 2).bit_length()  # c_l by FFT without circular wrap
+        qf = np.fft.rfft(q, size)
+        c = np.fft.irfft(qf.real ** 2 + qf.imag ** 2, size)[1:q.size]
+        out[lag] = (q.sum() ** 2 + 2.0 * np.dot(c, r[:c.size])) / osf ** 2
+    return out
+
+
+def pulse_gammas(model, ts: float, rolloff: float, filter_span: int = 32,
+                 osf: int = 5) -> np.ndarray:
+    """Gain moments gamma_l = E{|g_l|^2}, l = 0 .. filter_span, of the ``ct``
+    link chain's matched filter h = ``rrc_taps(rolloff, filter_span, osf)``.
+
+    gamma_l = sum_{n,m} q_l[n] q_l[m] R(n - m) / osf^2, q_l[n] = h[n] h[n - l*osf],
+    where the chain draws the phase with ``CompositeGenerator(model, ts/osf)``:
+    R(d) = exp(-D(d)/2) exactly, D the variogram summed over its sources,
+    sigma_u_sq*d for a random walk, 2*var*(1 - a**d) for an AR(1) member and
+    2*linf_sq*osf/ts for a floor.  gamma_0 is the mean ``power_loss`` and
+    gamma_0 / (2*sum(gamma[1:])) the SIR that ``simulate_link`` measures.
+    """
+    def corr_m1(d):
+        dt, var = ts / osf, np.zeros(d.size)
+        for p in as_composite(model).processes:
+            co = ar_coefficients(p, dt)
+            var += (co.sigma_u_sq * d if co.a == 1.0 else
+                    -2.0 * co.stationary_variance * np.expm1(d * math.log(co.a)))
+            var += 2.0 * p.linf_sq / dt
+        return np.expm1(-0.5 * var)
+
+    return _pulse_gammas(rolloff, filter_span, osf, corr_m1)
+
+
+def sir_for_pulse(rolloff: float, rho_value, filter_span: int = 32, osf: int = 5) -> float:
+    """SIR gamma_0 / sum_{l != 0} gamma_l of ``pulse_gammas`` for a free-running
+    phasor, R(d) = exp(-2*pi*rho*|d|/osf), linear."""
+    r = float(_coerce(rho_value))
+    g = _pulse_gammas(rolloff, filter_span, osf,
+                      lambda d: math.exp(-2.0 * math.pi * r / osf) ** d - 1.0)
+    return float(g[0] / (2.0 * math.fsum(g[1:])))
 
 
 def sir_from_sigma_u(sigma_u: float) -> float:
     """SIR expressed through the phase-increment standard deviation (rad)."""
-    if _is_mp(sigma_u):
-        import mpmath as mp
+    if mp := _mp(sigma_u):
         return sir_from_rho(sigma_u ** 2 / (4 * mp.pi))
     s = float(sigma_u)
     if not s > 0:

@@ -250,6 +250,8 @@ def _cmd_gen(args) -> int:
 def _cmd_validate(args) -> int:
     model = _parse_model(args)
     gen = CompositeGenerator(model, args.ts, args.seed)
+    if not 1.0 / args.ts < math.inf:
+        raise ValueError(f"--ts {args.ts!r} has no finite sampling rate 1/ts")
     acc = WelchAccumulator(args.n, fs=1.0 / args.ts, segment_len=args.segment_len)
     for block in _blocks(gen, args.n):
         acc.push(block)

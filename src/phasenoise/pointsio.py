@@ -12,7 +12,7 @@ from .timegen import write_csv
 def load_points(path) -> np.ndarray:
     """Read a (n, 2) array of (frequency Hz, level dB) rows.
 
-    Frequencies must be strictly increasing and positive.
+    Frequencies must be positive and strictly increasing, also in log10.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -42,8 +42,8 @@ def validate_points(points: np.ndarray) -> np.ndarray:
         raise ValueError(f"point row {bad[0] + 1} is not finite: {pts[bad[0]].tolist()}")
     if np.any(pts[:, 0] <= 0):
         raise ValueError("point frequencies must be positive")
-    if np.any(np.diff(pts[:, 0]) <= 0):
-        raise ValueError("point frequencies must be strictly increasing")
+    if np.any(np.diff(np.log10(pts[:, 0])) <= 0):  # the fit works on log10(f)
+        raise ValueError("point frequencies must be strictly increasing, also in log10")
     return pts
 
 

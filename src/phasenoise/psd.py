@@ -4,11 +4,6 @@ Phase-noise PSD and autocorrelation, phasor autocorrelation and PSD
 (with its white-floor extension), composite sums, and the
 multi-pole/zero cellular model.
 
-The phasor PSD is a carrier line plus Lorentzians in every regime: one
-term free-running and PLL-locked, else the exact Poisson expansion of
-the autocorrelation, about 18*sqrt(c) terms for c = pi*amp/f3db up to
-1e8, above which the free-running form (within 1/c) is used.
-
 All PSDs are double-sided linear densities over f in (-inf, inf).
 Dirac components are carried symbolically in
 :class:`PhasorPsdValue.delta_weight`, never as numeric spikes.
@@ -23,8 +18,6 @@ import numpy as np
 
 from .params import CompositeModel, OscillatorParams, ThreeGppParams, as_composite
 
-# PLL branch is used when f3db exceeds the phasor half-width by this factor
-PLL_BRANCH_FACTOR = 10.0
 # free-running form is used when the phasor half-width exceeds f3db by this factor
 FREE_RUNNING_LIMIT = 1e8
 
@@ -77,11 +70,13 @@ def pn_autocorr(params: OscillatorParams, tau) -> float | np.ndarray:
                          "description (wiener_sigma)")
     if params.linf_sq != 0.0:
         raise ValueError("autocorrelation is defined for linf_sq=0 models")
+    c = math.pi * params.amp / params.f3db
+    if not math.isfinite(c):
+        raise ValueError(f"phase variance pi*amp/f3db overflows at f3db = {params.f3db!r}")
     tarr = np.asarray(tau, dtype=float)
     # a lag so large that the exponent overflows to -inf gives the limit, 0
     with np.errstate(over="ignore"):
-        out = (math.pi * params.amp / params.f3db) * np.exp(
-            -2.0 * math.pi * params.f3db * np.abs(tarr))
+        out = c * np.exp(-2.0 * math.pi * params.f3db * np.abs(tarr))
     return out if tarr.ndim else float(out)
 
 
@@ -89,7 +84,8 @@ def phasor_autocorr(params: OscillatorParams, tau) -> float | np.ndarray:
     """Autocorrelation of exp(j*theta(t)) for the floorless model.
 
     PLL-locked:   exp(-(pi*amp/f3db) * (1 - exp(-2*pi*f3db*|tau|)))
-    free-running: exp(-2*pi^2*amp*|tau|)   (the f3db->0 limit)
+    free-running: exp(-2*pi^2*amp*|tau|)   (the f3db->0 limit), also
+                  above c = pi*amp/f3db = 1e8, as in ``phasor_psd``
     """
     if params.linf_sq != 0.0:
         raise ValueError("phasor autocorrelation is defined for linf_sq=0 models")
@@ -97,7 +93,7 @@ def phasor_autocorr(params: OscillatorParams, tau) -> float | np.ndarray:
     at = np.abs(tarr)
     # a lag so large that an exponent overflows to -inf gives the limit
     with np.errstate(over="ignore"):
-        if params.f3db == 0.0:
+        if params.f3db == 0.0 or params.phasor_halfwidth > FREE_RUNNING_LIMIT * params.f3db:
             out = np.exp(-2.0 * math.pi ** 2 * params.amp * at)
         else:
             c = math.pi * params.amp / params.f3db
@@ -108,15 +104,13 @@ def phasor_autocorr(params: OscillatorParams, tau) -> float | np.ndarray:
 def _phasor_lorentzians(params: OscillatorParams) -> tuple[float, np.ndarray, np.ndarray]:
     """(carrier, num, w) with S_h(f) = carrier*delta(f) + sum(num/(w^2 + f^2)).
 
-    In the general branch R_h(tau) = exp(-c) * sum_k c^k g^k / k! with
+    Below c = pi*amp/f3db = 1e8, R_h(tau) = exp(-c) * sum_k c^k g^k / k! with
     g = exp(-2*pi*f3db*|tau|), and g^k transforms to a Lorentzian of
-    half-width k*f3db; the terms within 1e-18 of the largest weight are kept.
+    half-width k*f3db; the terms k >= 1 within 1e-18 of the largest are kept.
     """
     hw = params.phasor_halfwidth
     if params.f3db == 0.0 or hw > FREE_RUNNING_LIMIT * params.f3db:
         return 0.0, np.array([params.amp]), np.array([hw])
-    if params.f3db >= PLL_BRANCH_FACTOR * hw:
-        return 1.0 - hw / params.f3db, np.array([params.amp]), np.array([params.f3db])
     c = hw / params.f3db
     mode, span = math.floor(c), int(10.0 * math.sqrt(c)) + 40
     k = np.arange(max(mode - span, 0), mode + span + 1)
@@ -124,7 +118,7 @@ def _phasor_lorentzians(params: OscillatorParams) -> tuple[float, np.ndarray, np
     # by their sum (the weights of all k >= 0 sum to 1)
     ratio = np.concatenate([np.cumprod((k[k < mode] + 1)[::-1] / c)[::-1], [1.0],
                             np.cumprod(c / k[k > mode])])
-    keep = (ratio >= 1e-18) & (k >= 1)
+    keep = (ratio >= 1e-18 * ratio[k >= 1].max()) & (k >= 1)
     half = k[keep] * params.f3db
     return math.exp(-c), ratio[keep] / ratio.sum() * half / math.pi, half
 
@@ -151,16 +145,12 @@ def _density(num, w, f):
 def phasor_psd(params: OscillatorParams, f) -> PhasorPsdValue:
     """PSD of the phasor exp(j*theta(t)) for the floorless model.
 
-    A carrier line plus Lorentzians num/(w^2 + f^2) in every regime:
-
-    * ``f3db = 0`` or c = pi*amp/f3db above 1e8 (``FREE_RUNNING_LIMIT``):
-      half-width pi*amp and no carrier line.
-    * ``f3db >= 10*pi*amp``: carrier line of weight 1 - c plus the
-      phase-noise Lorentzian.
-    * otherwise: the autocorrelation's exact expansion, carrier weight
-      exp(-c) and, for k >= 1, half-width k*f3db with Poisson weight
-      exp(-c)*c^k/k!: about 18*sqrt(c) terms (36 at c = 5), within 1/c of
-      the free-running form at large c.
+    A carrier line plus Lorentzians num/(w^2 + f^2).  For ``f3db = 0`` or
+    c = pi*amp/f3db above 1e8 (``FREE_RUNNING_LIMIT``), one of half-width
+    pi*amp and no carrier line.  Otherwise the autocorrelation's exact
+    expansion: carrier weight exp(-c) and, for k >= 1, half-width k*f3db
+    with Poisson weight exp(-c)*c^k/k!; about 18*sqrt(c) terms (36 at
+    c = 5) and at least k = 1, within 1/c of the free-running form at large c.
     """
     if params.linf_sq != 0.0:
         raise ValueError("floorless phasor PSD requires linf_sq=0; "

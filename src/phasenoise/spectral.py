@@ -90,6 +90,8 @@ class WelchAccumulator:
 
     def __init__(self, n: int, fs: float, segment_len: int = DEFAULT_SEGMENT_LEN,
                  overlap: float = 0.5, window: str = "hann"):
+        if not 0.0 < fs < np.inf:
+            raise ValueError(f"sampling rate fs must be finite and > 0, got {fs!r}")
         if segment_len & (segment_len - 1) or segment_len <= 0:
             raise ValueError(f"segment_len must be a power of two, got {segment_len}")
         if n < 4 * segment_len:

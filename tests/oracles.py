@@ -229,6 +229,23 @@ def pulse_gammas(pulse: np.ndarray, ov: int, rho: float, nlag: int) -> np.ndarra
     return g
 
 
+def pulse_gammas_recursion(pulse: np.ndarray, osf: int, rho: float, nlag: int) -> np.ndarray:
+    """gamma_l, l = 0 .. nlag, of a sampled pulse for a free-running phasor by
+    the first-order recursion that the exponential kernel admits.
+
+    With R(d) = r**|d|, r = exp(-2*pi*rho/osf), the double sum
+    sum_{n,m} q[n] q[m] R(n - m) is 2 q.y - q.q, where y is q filtered by
+    1/(1 - r z^-1) (``scipy.signal.lfilter``); q_l[n] = h[n] h[n - l*osf],
+    and the result is divided by osf^2.
+    """
+    r = math.exp(-2.0 * math.pi * rho / osf)
+    g = np.empty(nlag + 1)
+    for lag in range(nlag + 1):
+        q = pulse[lag * osf:] * pulse[:pulse.size - lag * osf]
+        g[lag] = (2.0 * np.dot(q, lfilter([1.0], [1.0, -r], q)) - np.dot(q, q)) / osf ** 2
+    return g
+
+
 def rrc_taps_loop(rolloff: float, span_symbols: int, osf: int) -> np.ndarray:
     """Root-raised-cosine taps evaluated tap by tap with scalar math.
 

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasenoise import (
+    CompositeModel,
+    LinkConfig,
     OscillatorParams,
     aliasing_variance,
     eta,
@@ -16,8 +18,10 @@ from phasenoise import (
     eta_isi,
     gamma0,
     normalized_aliasing,
+    pulse_gammas,
     rho,
     rrc_taps,
+    simulate_link,
     sir_for_pulse,
     sir_from_rho,
     sir_from_sigma_u,
@@ -241,6 +245,50 @@ class TestSirForPulse:
             sir_for_pulse(0.3, 1e-3, filter_span=8)
         with pytest.raises(ValueError, match="osf"):
             sir_for_pulse(0.3, 1e-3, osf=1)
+
+
+class TestPulseGammas:
+    # the ct chain of simulate_link, no AWGN and no pilots
+    TS, OSF, ROLLOFF, SPAN = 1e-7, 5, 0.3, 32
+
+    @pytest.mark.parametrize("model", [
+        SAT,
+        CompositeModel((OscillatorParams.from_db(0.0, -100.0),
+                        OscillatorParams.from_db(5e3, -95.0, -130.0))),
+        OscillatorParams.from_db(2e4, -80.0)], ids=["sat", "composite", "pll"])
+    def test_ct_link_measures_the_closed_form(self, model):
+        cfg = LinkConfig(constellation="qpsk", rolloff=self.ROLLOFF, osf=self.OSF,
+                         n_symbols=400_000, ts=self.TS, pn_mode="ct", pn_model=model,
+                         esn0_db=None, pilot_len=0, seed=11, filter_span=self.SPAN)
+        stats = simulate_link(cfg)
+        g = pulse_gammas(model, self.TS, self.ROLLOFF, self.SPAN, self.OSF)
+        closed_db = 10 * math.log10(g[0] / (2.0 * g[1:].sum()))
+        assert abs(stats.sir_db - closed_db) <= 3 * stats.sir_se_db, (stats, closed_db)
+        assert g[0] == pytest.approx(stats.power_loss, rel=1e-6)
+
+    @pytest.mark.parametrize("r", [1e-18, 1e-6, 1e-3, 1e-1, 1e2])
+    @pytest.mark.parametrize("rolloff, span", [(0.0, 32), (0.3, 32), (0.3, 96), (1.0, 16)])
+    def test_free_running_matches_recursion(self, r, rolloff, span):
+        want = oracles.pulse_gammas_recursion(rrc_taps(rolloff, span, 5), 5, r, span)
+        assert sir_for_pulse(rolloff, r, span, 5) == pytest.approx(
+            want[0] / (2.0 * want[1:].sum()), rel=1e-9)
+        # the same phasor as a free-running model sampled at ts/osf
+        free = OscillatorParams(f3db=0.0, l100_sq=r / (math.pi * 1e10 * self.TS))
+        got = pulse_gammas(free, self.TS, rolloff, span, 5)
+        assert np.allclose(got, want, rtol=1e-9, atol=1e-15 * want[0])
+
+    def test_no_phase_noise_limit(self):
+        # a phasor that does not move leaves the unit direct gain
+        quiet = OscillatorParams.from_db(0.0, -300.0)
+        assert pulse_gammas(quiet, self.TS, 0.3)[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_domain(self):
+        with pytest.raises(ValueError, match="osf"):
+            pulse_gammas(SAT, self.TS, 0.3, osf=0)
+        with pytest.raises(ValueError, match="ts"):
+            pulse_gammas(SAT, 0.0, 0.3)
+        with pytest.raises(ValueError, match="outside the model validity"):
+            pulse_gammas(OscillatorParams.from_db(1e7, -88.0), self.TS, 0.3)
 
 
 @settings(max_examples=200, deadline=None)

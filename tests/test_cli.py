@@ -278,7 +278,12 @@ def test_every_model_header_flags_a_high_corner(capsys, argv):
     (["psd", "--f3db", "10", "--l100-db", "1e308"], "1e+308 dB overflows a double"),
     (["psd", "--f3db", "10", "--l100-db", "-88", "--linf-db", "1e308"],
      "1e+308 dB overflows a double"),
-    (["psd", "--process", "10,-88,1e308"], "1e+308 dB overflows a double")])
+    (["psd", "--process", "10,-88,1e308"], "1e+308 dB overflows a double"),
+    # a subnormal corner or period: pi*amp/f3db or the rate 1/ts overflows
+    (["autocorr", "--f3db", "5e-324", "--l100-db", "1e-9", "--n", "3"],
+     "pi*amp/f3db overflows at f3db = 5e-324"),
+    (["validate", "--ts", "5e-324", "--f3db", "0", "--l100-db", "-88"],
+     "--ts 5e-324 has no finite sampling rate")])
 def test_non_finite_argument_is_one_error_line(capsys, tmp_path, argv, names):
     config = tmp_path / "cfg.json"
     config.write_text('{"ts": Infinity, "n_symbols": 2000}')
@@ -723,6 +728,18 @@ class TestFit:
         assert code == 1
         assert f"point row {row} is not finite" in err and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_frequencies_equal_in_log10_are_one_error_line(self, capsys, tmp_path):
+        # 1e9 and the double below it share their log10, where the fit's
+        # dB-per-decade slopes divided 0 by 0
+        path = tmp_path / "pts.csv"
+        path.write_text("freq_hz,level_db\n1.0,0.0\n2.0,0.0\n999999999.9999999,0.0\n"
+                        "1000000000.0,0.0\n")
+        code, out, err = run_capture(capsys, ["fit", "--points", str(path)])
+        assert code == 1 and out == ""
+        assert err == ("phasenoise: error: point frequencies must be strictly increasing, "
+                       "also in log10\n")
+
     def test_json_format_output(self, capsys):
         code, out, _ = run_capture(capsys, [
             "errors", "--sweep-rho", "1e-4:1e-2:3", "--format", "json"])
@@ -830,7 +847,7 @@ def test_ber_config_fuzz_never_tracebacks(tmp_path, capsys, doc):
 # `--n-symbols`, `--segment-len`, `--span`, `--osf`) stay small so that
 # every accepted run is short
 _REAL = st.sampled_from(["1", "10", "-1", "0", "1e-7", "1e5", "-88", "-114", "nan",
-                         "inf", "-inf", "1e308", "-1e308", "x", ""])
+                         "inf", "-inf", "1e308", "-1e308", "5e-324", "x", ""])
 _PAIR = st.sampled_from(["10,-88", "1e3,-90,-120", "0,-100", "5e3,-95,-130", "1,2,3,4",
                          "x,1", "", "nan,-88", "-1,-88", "1e9,300", "3e3,2.37", "1,3.3"])
 _LIST = st.sampled_from(["6", "6,8", "0.05", "0.05,0.5", "0.3", "0", "1", "-1", "2",

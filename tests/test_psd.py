@@ -107,6 +107,10 @@ class TestPnAutocorr:
         with pytest.raises(ValueError):
             pn_autocorr(SAT, 1e-3)
 
+    def test_overflowing_variance_rejected(self):
+        with pytest.raises(ValueError, match="overflows at f3db = 5e-324"):
+            pn_autocorr(OscillatorParams(f3db=5e-324, l100_sq=1.0), 1e-3)
+
 
 class TestPhasorAutocorr:
     def test_zero_lag_is_unity(self):
@@ -141,6 +145,15 @@ class TestPhasorAutocorr:
         want = phasor_autocorr(free, tau)
         assert abs(est - want) < 3 * se
 
+    def test_free_running_form_above_the_limit(self):
+        # above c = FREE_RUNNING_LIMIT the free-running form, as in
+        # phasor_psd, also where c itself overflows
+        free = OscillatorParams(f3db=0.0, l100_sq=SAT.l100_sq)
+        taus = np.array([0.0, 1e-9, 1e-5, 1e-1])
+        for f3db in (SAT.phasor_halfwidth / (2.0 * psd.FREE_RUNNING_LIMIT), 5e-324):
+            p = OscillatorParams(f3db=f3db, l100_sq=SAT.l100_sq)
+            assert np.array_equal(phasor_autocorr(p, taus), phasor_autocorr(free, taus))
+
     def test_free_running_is_f3db_limit(self):
         free = OscillatorParams.from_db(0.0, -88.0)
         tiny = OscillatorParams.from_db(1e-8, -88.0)
@@ -157,14 +170,16 @@ class TestPhasorPsd:
         assert v.continuous == pytest.approx(1.0 / (math.pi ** 2 * free.amp), rel=1e-12)
 
     def test_pll_delta_weight(self):
+        # the exact expansion's carrier exp(-c) at c ~ 0.005, not 1 - c
         p = OscillatorParams.from_db(1e4, -88.0)
         v = phasor_psd(p, 0.0)
-        assert v.delta_weight == pytest.approx(0.99502, abs=1e-5)
+        assert v.delta_weight == math.exp(-p.phasor_halfwidth / p.f3db)
+        assert v.delta_weight == pytest.approx(0.995033, abs=1e-6)
 
     @pytest.mark.parametrize("params", [
         OscillatorParams.from_db(0.0, -88.0),            # free-running branch
-        OscillatorParams.from_db(1e4, -88.0),            # pll branch
-        OscillatorParams.from_db(49.790888101603, -88.0),  # general branch, c=1
+        OscillatorParams.from_db(1e4, -88.0),            # expansion, c ~ 0.005
+        OscillatorParams.from_db(49.790888101603, -88.0),  # expansion, c = 1
     ])
     def test_power_unity(self, params):
         power = oracles.phasor_total_power(params, lambda f: phasor_psd(params, f))
@@ -180,10 +195,9 @@ class TestPhasorPsd:
             want = phasor_psd(free, f).continuous
             assert got == pytest.approx(want, rel=0.02)
 
-    def test_general_matches_pll_limit(self, monkeypatch):
-        # run the general expansion at a point deep in the high-f3db regime
-        # and compare with the closed-form branch it converges to
-        monkeypatch.setattr(psd, "PLL_BRANCH_FACTOR", math.inf)
+    def test_general_matches_pll_limit(self):
+        # deep in the high-f3db regime the expansion tends to the carrier
+        # 1 - c plus the phase-noise Lorentzian
         hw = math.pi * SAT.amp
         p = OscillatorParams(f3db=100.0 * hw, l100_sq=SAT.l100_sq)
         assert phasor_psd(p, 0.0).delta_weight == math.exp(-hw / p.f3db)
@@ -208,6 +222,17 @@ class TestPhasorPsd:
         cont = phasor_psd(SAT_NOFLOOR, SAT_NOFLOOR.f_ref).continuous
         assert abs(cont - pn_psd(SAT_NOFLOOR, SAT_NOFLOOR.f_ref)) \
             / pn_psd(SAT_NOFLOOR, SAT_NOFLOOR.f_ref) < 0.02
+
+    def test_tiny_c_keeps_one_lorentzian(self):
+        # far below c = 1e-18 every term but k = 1 is negligible, and that
+        # one is kept: amp*exp(-c)/(f3db^2 + f^2)
+        p = OscillatorParams(f3db=SAT.phasor_halfwidth / 1e-20, l100_sq=SAT.l100_sq)
+        f = np.array([0.0, 1.0, p.f3db, 1e3 * p.f3db])
+        v = phasor_psd(p, f)
+        c = p.phasor_halfwidth / p.f3db
+        assert v.delta_weight == math.exp(-c)
+        want = p.amp * math.exp(-c) / (p.f3db ** 2 + f ** 2)
+        assert np.all(np.abs(v.continuous / want - 1.0) <= 1e-12)
 
     @pytest.mark.parametrize("c", [0.2, 5.0])
     def test_general_matches_quadosc(self, c):

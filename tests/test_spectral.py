@@ -246,6 +246,9 @@ class TestWelchAccumulator:
         assert flags == {True, False}
 
     def test_checks_before_any_sample(self):
+        for fs in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="sampling rate fs must be finite"):
+                WelchAccumulator(2 ** 16, fs)
         with pytest.raises(ValueError, match="power of two"):
             WelchAccumulator(2 ** 16, 1.0, segment_len=1000)
         with pytest.raises(ValueError, match="at least"):
