@@ -21,6 +21,7 @@ from .psd import (
     phasor_psd_with_floor,
     pn_autocorr,
     pn_psd,
+    sampled_psd,
     threegpp_psd,
 )
 from .analysis import (
@@ -77,7 +78,7 @@ __all__ = [
     "gen_composite", "gen_white_floor", "gen_wiener", "l0_sq_from_l100",
     "load_points", "measure_sir", "member_seed", "normalized_aliasing",
     "phasor_autocorr", "phasor_psd", "phasor_psd_with_floor",
-    "pilot_phase_track", "pn_autocorr", "pn_psd", "pulse_gammas", "rho", "rrc_taps",
+    "pilot_phase_track", "pn_autocorr", "pn_psd", "pulse_gammas", "rho", "rrc_taps", "sampled_psd",
     "save_points", "simulate_link", "sir_for_pulse", "sir_from_rho", "sir_from_sigma_u",
     "sum_gamma", "threegpp_psd", "undb", "welch_psd", "wiener_sigma",
 ]

@@ -41,8 +41,8 @@ import sys
 import numpy as np
 
 from .linksim import rrc_taps
-from .params import OscillatorParams, as_composite
-from .timegen import ar_coefficients
+from .params import OscillatorParams
+from .timegen import ar_sources
 
 
 def _mp(x):
@@ -207,18 +207,16 @@ def pulse_gammas(model, ts: float, rolloff: float, filter_span: int = 32,
 
     gamma_l = sum_{n,m} q_l[n] q_l[m] R(n - m) / osf^2, q_l[n] = h[n] h[n - l*osf],
     where the chain draws the phase with ``CompositeGenerator(model, ts/osf)``:
-    R(d) = exp(-D(d)/2) exactly, D the variogram summed over its sources,
-    sigma_u_sq*d for a random walk, 2*var*(1 - a**d) for an AR(1) member and
-    2*linf_sq*osf/ts for a floor.  gamma_0 is the mean ``power_loss`` and
-    gamma_0 / (2*sum(gamma[1:])) the SIR that ``simulate_link`` measures.
+    R(d) = exp(-D(d)/2) exactly, D the variogram summed over its ``ar_sources``,
+    sigma_u_sq*d at a = 1, 2*var*(1 - a**d) for 0 < a < 1 and 2*sigma_u_sq at
+    a = 0.  gamma_0 is the mean ``power_loss`` and gamma_0 / (2*sum(gamma[1:]))
+    the SIR that ``simulate_link`` measures.
     """
     def corr_m1(d):
-        dt, var = ts / osf, np.zeros(d.size)
-        for p in as_composite(model).processes:
-            co = ar_coefficients(p, dt)
-            var += (co.sigma_u_sq * d if co.a == 1.0 else
-                    -2.0 * co.stationary_variance * np.expm1(d * math.log(co.a)))
-            var += 2.0 * p.linf_sq / dt
+        var = np.zeros(d.size)
+        for _, co in ar_sources(model, ts / osf):
+            var += (co.sigma_u_sq * d if co.a == 1.0 else 2.0 * co.sigma_u_sq if co.a == 0.0
+                    else -2.0 * co.stationary_variance * np.expm1(d * math.log(co.a)))
         return np.expm1(-0.5 * var)
 
     return _pulse_gammas(rolloff, filter_span, osf, corr_m1)

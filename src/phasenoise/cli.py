@@ -31,7 +31,7 @@ from .fitting import fit_composite, fit_single
 from .linksim import LinkConfig, simulate_link
 from .params import CompositeModel, OscillatorParams, ThreeGppParams
 from .pointsio import load_points
-from .psd import composite_psd, phasor_psd, pn_autocorr, phasor_autocorr, threegpp_psd
+from .psd import composite_psd, phasor_psd, pn_autocorr, phasor_autocorr, sampled_psd, threegpp_psd
 # gen_composite, save_stream_* and welch_psd stay module attributes:
 # perfbench/spans.py wraps them on this module
 from .spectral import WelchAccumulator, db, undb, welch_psd, compare_psd  # noqa: F401
@@ -257,7 +257,7 @@ def _cmd_validate(args) -> int:
         acc.push(block)
     est = acc.result()
     band = (10 * est.resolution, args.band_top_fraction / args.ts)
-    cmp = compare_psd(est, lambda f: composite_psd(model, f), band=band)
+    cmp = compare_psd(est, lambda f: sampled_psd(model, args.ts, f), band=band)
     return _write(args, ["freq_hz", "est_db", "model_db", "dev_db"],
                   [[cmp.freqs, cmp.est_db, cmp.model_db, cmp.dev_db]],
                   model=_model_meta(model), seed=args.seed, ts=repr(args.ts), n=args.n,

@@ -212,10 +212,10 @@ def _json_fields(obj, cls, what: str, extra: tuple = ()) -> dict:
         raise ValueError(f"{what} must be a JSON object")
     unknown = sorted(set(obj) - {f.name for f in fields(cls)} - set(extra))
     if unknown:
-        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+        raise ValueError(f"unknown {what} keys: {', '.join(map(repr, unknown))}")
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
     if missing:
-        raise ValueError(f"missing {what} keys: {', '.join(missing)}")
+        raise ValueError(f"missing {what} keys: {', '.join(map(repr, missing))}")
     return obj
 
 

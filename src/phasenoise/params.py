@@ -50,6 +50,10 @@ class OscillatorParams:
             raise ValueError(f"f3db must be >= 0, got {self.f3db}")
         if not self.f_ref > 0:
             raise ValueError(f"f_ref must be > 0, got {self.f_ref}")
+        if not math.isfinite(self.f3db * self.f3db):  # inf where f3db**2 would raise
+            raise ValueError(f"f3db**2 must be finite, got f3db = {self.f3db!r}")
+        if not math.isfinite(math.pi * (self.f_ref * self.f_ref * self.l100_sq)):
+            raise ValueError(f"pi*f_ref**2*l100_sq must be finite, got f_ref = {self.f_ref!r}")
 
     @property
     def flags(self) -> tuple[str, ...]:

@@ -1,8 +1,8 @@
 """Closed-form continuous-frequency spectra.
 
 Phase-noise PSD and autocorrelation, phasor autocorrelation and PSD
-(with its white-floor extension), composite sums, and the
-multi-pole/zero cellular model.
+(with its white-floor extension), composite sums and their sampled
+spectrum, and the multi-pole/zero cellular model.
 
 All PSDs are double-sided linear densities over f in (-inf, inf).
 Dirac components are carried symbolically in
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import CompositeModel, OscillatorParams, ThreeGppParams, as_composite
+from .timegen import ar_sources
 
 # free-running form is used when the phasor half-width exceeds f3db by this factor
 FREE_RUNNING_LIMIT = 1e8
@@ -200,6 +201,21 @@ def composite_psd(model: CompositeModel | OscillatorParams, f) -> float | np.nda
     out = np.zeros_like(farr)
     for p in as_composite(model).processes:
         out = out + pn_psd(p, farr)
+    return out if farr.ndim else float(out)
+
+
+def sampled_psd(model: CompositeModel | OscillatorParams, ts: float, f) -> float | np.ndarray:
+    """Density of the samples ``CompositeGenerator(model, ts, seed)`` draws, for
+    f in [-1/2Ts, 1/2Ts]: ``composite_psd`` aliased, each floor white in the band.
+    The sum over ``ar_sources`` of sigma_u_sq*ts / ((1 - a)^2 + 4*a*sin^2(pi*f*ts));
+    raises for a random walk at f=0, as ``pn_psd`` does."""
+    farr = np.asarray(f, dtype=float)
+    sin_sq = np.sin(math.pi * ts * farr) ** 2
+    out = np.zeros_like(farr)
+    for _, c in ar_sources(model, ts):
+        if c.a == 1.0 and np.any(farr == 0.0):
+            raise ValueError("free-running PSD singular at f=0")
+        out = out + c.sigma_u_sq * ts / ((1.0 - c.a) ** 2 + 4.0 * c.a * sin_sq)
     return out if farr.ndim else float(out)
 
 

@@ -115,7 +115,7 @@ def ar_coefficients(params: OscillatorParams, ts: float) -> ArCoefficients:
     it is the random walk, a = 1 with ``sigma_u_sq = wiener_sigma(params, ts)``.
     """
     if not ts > 0:
-        raise ValueError("ts must be > 0")
+        raise ValueError(f"ts must be > 0, got {ts}")
     if params.f3db == 0.0:
         return ArCoefficients(a=1.0, sigma_u_sq=wiener_sigma(params, ts), ts=ts)
     prod = params.f3db * ts
@@ -270,26 +270,27 @@ def gen_white_floor(linf_sq: float, ts: float, n: int, seed: int) -> PnStream:
     return gen_ar(ArCoefficients(0.0, linf_sq / ts, ts), n, seed)
 
 
-class CompositeGenerator:
-    """Composite phase-noise stream produced block by block.
+def ar_sources(model, ts: float) -> list[tuple[int, ArCoefficients]]:
+    """The AR(1) sources a model draws at period ts, in ``CompositeGenerator``'s
+    order, as (k, coefficients) seeded with member_seed(seed, k): member i
+    (``ar_coefficients``; the random walk for f3db = 0) at k = 2i and, when
+    linf_sq > 0, its white floor, a = 0 and sigma_u_sq = linf_sq/ts, at 2i + 1."""
+    sources = []
+    for i, p in enumerate(as_composite(model).processes):
+        sources.append((2 * i, ar_coefficients(p, ts)))
+        if p.linf_sq > 0.0:
+            sources.append((2 * i + 1, ArCoefficients(0.0, p.linf_sq / ts, ts)))
+    return sources
 
-    Each member contributes its AR(1) stream (``ar_coefficients``; the
-    random walk for f3db = 0) seeded with member_seed(seed, 2i) and, when
-    linf_sq > 0, its white floor (the AR(1) stream at a = 0) seeded with
-    member_seed(seed, 2i + 1).  Successive ``take(n)`` calls continue the
-    stream: their concatenation is bit-identical to one ``take`` of the
-    total length, whatever the block sizes.
-    """
+
+class CompositeGenerator:
+    """Composite phase-noise stream produced block by block: the sum of the
+    model's ``ar_sources``, each seeded with member_seed(seed, k).  Successive
+    ``take(n)`` calls continue the stream: their concatenation is bit-identical
+    to one ``take`` of the total length, whatever the block sizes."""
 
     def __init__(self, model, ts: float, seed: int):
-        if not ts > 0:
-            raise ValueError(f"ts must be > 0, got {ts}")
-        self.sources = []
-        for i, p in enumerate(as_composite(model).processes):
-            self.sources.append(_ArSource(ar_coefficients(p, ts), member_seed(seed, 2 * i)))
-            if p.linf_sq > 0.0:
-                self.sources.append(_ArSource(ArCoefficients(0.0, p.linf_sq / ts, ts),
-                                              member_seed(seed, 2 * i + 1)))
+        self.sources = [_ArSource(c, member_seed(seed, k)) for k, c in ar_sources(model, ts)]
         self.model = {"kind": "composite", "members": [s.model for s in self.sources]}
 
     def take(self, n: int) -> np.ndarray:

@@ -6,6 +6,7 @@ are computed by adaptive quadrature or plain sums.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.integrate import quad
 from scipy.optimize import least_squares
 from scipy.signal import lfilter
 
+from phasenoise import CompositeModel, as_composite, composite_psd
 from phasenoise.fitting import _box, _jacobian_db, _terms
 
 mp.mp.dps = 50
@@ -162,6 +164,17 @@ def folded_lorentzian(amp: float, f3db: float, f: np.ndarray, fs: float,
     for k in range(-nfold, nfold + 1):
         out = out + amp / (f3db ** 2 + (f + k * fs) ** 2)
     return out
+
+
+def aliased_composite_psd(model, ts: float, f: np.ndarray, images: int = 20_000) -> np.ndarray:
+    """Density of the sampled composite process over the band: the explicit
+    image sum of ``composite_psd`` without floors over f + k/ts, |k| <= images,
+    plus each floor once (the generator draws it white in the band)."""
+    members = as_composite(model).processes
+    floorless = CompositeModel(tuple(replace(p, linf_sq=0.0) for p in members))
+    k = np.arange(-images, images + 1)[:, None]
+    out = composite_psd(floorless, np.asarray(f, dtype=float)[None, :] + k / ts)
+    return out.sum(axis=0) + sum(p.linf_sq for p in members)
 
 
 def nonstationary_whole_array(samples: np.ndarray, segment_len: int) -> bool:

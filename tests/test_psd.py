@@ -18,6 +18,7 @@ from phasenoise import (
     phasor_psd_with_floor,
     pn_autocorr,
     pn_psd,
+    sampled_psd,
     threegpp_psd,
 )
 from phasenoise import psd
@@ -343,6 +344,25 @@ class TestComposite:
         total = composite_psd(m, f)
         assert np.all(total >= pn_psd(self.TABLE_LOW, f))
         assert np.all(total >= pn_psd(self.TABLE_HIGH, f))
+
+
+class TestSampledPsd:
+    TS = 1e-7
+
+    @pytest.mark.parametrize("linf_db", [None, -114.0], ids=["floorless", "floor"])
+    @pytest.mark.parametrize("f3db_ts", [0.0, 1e-6, 1e-3, 1e-2, 0.1])
+    def test_equals_image_sum(self, f3db_ts, linf_db):
+        p = OscillatorParams.from_db(f3db_ts / self.TS, -88.0, linf_db)
+        f = np.logspace(-4.0, math.log10(0.49), 60) / self.TS
+        got = sampled_psd(p, self.TS, f)
+        want = oracles.aliased_composite_psd(p, self.TS, f)
+        assert np.max(np.abs(10.0 * np.log10(got / want))) < 1e-4
+
+    def test_random_walk_singular_at_zero(self):
+        with pytest.raises(ValueError, match="singular at f=0"):
+            sampled_psd(OscillatorParams.from_db(0.0, -88.0), self.TS, np.array([1e3, 0.0]))
+        # a stationary model has its finite plateau there
+        assert 0.0 < sampled_psd(SAT, self.TS, 0.0) < math.inf
 
 
 class TestThreeGpp:

@@ -25,6 +25,7 @@ from phasenoise.cli import run
 from phasenoise.timegen import (
     _ArScan,
     _ArSource,
+    ar_sources,
     load_stream_bin,
     load_stream_csv,
     save_stream_bin,
@@ -332,6 +333,23 @@ class TestGenComposite:
         a = gen_composite(model, 1e-9, 10_000, 42)
         b = gen_composite(model, 1e-9, 10_000, 42)
         assert np.array_equal(a.samples, b.samples)
+
+    def test_ar_sources_are_the_generator_sources(self):
+        # a free-running member without a floor, a PLL member and a random
+        # walk with floors: the sources, re-summed in their order, give the
+        # generator's bits
+        model = CompositeModel((OscillatorParams.from_db(0.0, -100.0),
+                                OscillatorParams.from_db(5e3, -95.0, -130.0),
+                                OscillatorParams.from_db(0.0, -105.0, -120.0)))
+        ts, n, seed = 1e-7, 5000, 2024
+        sources = ar_sources(model, ts)
+        assert [k for k, _ in sources] == [0, 2, 3, 4, 5]
+        assert [c.a for _, c in sources][2::2] == [0.0, 0.0]
+        assert sources[2][1].sigma_u_sq == model.processes[1].linf_sq / ts
+        total = np.zeros(n)
+        for k, c in sources:
+            total += _ArSource(c, member_seed(seed, k)).take(n)
+        assert np.array_equal(total, CompositeGenerator(model, ts, seed).take(n))
 
     def test_ar_wiener_increment_continuity(self):
         # at f3db*ts = 1e-6 the AR per-sample increment variance matches
