@@ -101,10 +101,15 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="composite member (repeatable); overrides the single flags")
 
 
-def _numbers(flag: str, form: str, sizes: tuple[int, ...], text: str) -> list[float]:
-    """The comma-separated numbers of one ``flag`` value, written as ``form``."""
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) not in sizes:
+def _numbers(flag: str, text: str, form: str = "a comma list of numbers",
+             sizes: tuple[int, ...] = (), sep: str = ",") -> list[float]:
+    """The ``sep``-separated numbers of one ``flag`` value, written as ``form``:
+    as many as ``sizes`` allows, or any number when it is empty."""
+    try:
+        parts = [float(x) for x in text.split(sep)]
+    except ValueError:
+        parts = None
+    if parts is None or sizes and len(parts) not in sizes:
         raise ValueError(f"{flag} needs {form}: {text!r}")
     return parts
 
@@ -112,7 +117,7 @@ def _numbers(flag: str, form: str, sizes: tuple[int, ...], text: str) -> list[fl
 def _parse_model(args) -> CompositeModel:
     if args.process:
         return CompositeModel(tuple(
-            OscillatorParams.from_db(*_numbers("--process", "F3DB,L100DB[,LINFDB]", (2, 3), text),
+            OscillatorParams.from_db(*_numbers("--process", text, "F3DB,L100DB[,LINFDB]", (2, 3)),
                                      f_ref=args.f_ref)
             for text in args.process))
     if args.f3db is None or args.l100_db is None:
@@ -127,7 +132,7 @@ def _parse_threegpp(args) -> ThreeGppParams | None:
     if not args.threegpp_zero or not args.threegpp_pole:
         raise ValueError("--threegpp-psd0-db needs --threegpp-zero and --threegpp-pole")
     psd0 = undb(args.threegpp_psd0_db)
-    zeros, poles = (tuple(tuple(_numbers(flag, "FREQ,EXP", (2,), text)) for text in items)
+    zeros, poles = (tuple(tuple(_numbers(flag, text, "FREQ,EXP", (2,))) for text in items)
                     for flag, items in (("--threegpp-zero", args.threegpp_zero),
                                         ("--threegpp-pole", args.threegpp_pole)))
     return ThreeGppParams(psd0=psd0, zeros=zeros, poles=poles)
@@ -144,6 +149,8 @@ def _model_meta(model: CompositeModel) -> str:
 def _log_grid(fmin: float, fmax: float, n: int) -> np.ndarray:
     if not 0 < fmin <= fmax < math.inf:
         raise ValueError(f"need 0 < lo <= hi < inf, got {fmin!r}:{fmax!r}")
+    if n < 0:
+        raise ValueError(f"grid count must be >= 0, got {n}")
     grid = np.linspace(math.log10(fmin), math.log10(fmax), n)
     return np.power(10.0, grid, out=grid)  # np.logspace's values, in place
 
@@ -267,11 +274,11 @@ def _cmd_validate(args) -> int:
 
 
 def _parse_sweep(text: str, default_n: int = 25) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise ValueError(f"sweep must be LO:HI[:N], got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
-    return _log_grid(lo, hi, int(parts[2]) if len(parts) == 3 else default_n)
+    form = "LO:HI[:N], N a whole number >= 0"
+    lo, hi, n = [*_numbers("--sweep-rho", text, form, (2, 3), ":"), default_n][:3]
+    if not (n >= 0 and n % 1 == 0):
+        raise ValueError(f"--sweep-rho needs {form}: {text!r}")
+    return _log_grid(lo, hi, int(n))
 
 
 def _cmd_errors(args) -> int:
@@ -299,13 +306,14 @@ def _cmd_errors(args) -> int:
 
 def _cmd_sir(args) -> int:
     rhos = _parse_sweep(args.sweep_rho, default_n=7) if args.sweep_rho \
-        else np.asarray([float(x) for x in args.rho.split(",")])
-    rolloffs = [float(x) for x in args.rolloffs.split(",")]
+        else np.asarray(_numbers("--rho", args.rho))
+    rolloffs = _numbers("--rolloffs", args.rolloffs)
     rows = []
     for r in rhos:
         closed_db = 10.0 * math.log10(sir_from_rho(float(r)))
         for beta in rolloffs:
-            span = max(args.span, int(round(4.8 / max(beta, 0.05))))
+            # a nan roll-off takes 0.05 here, and LinkConfig refuses it
+            span = max(args.span, int(round(4.8 / max(0.05, beta))))
             l100 = float(r) / (math.pi * 1e10 * args.ts)
             cfg = LinkConfig(constellation="qpsk", rolloff=beta, osf=args.osf,
                              n_symbols=args.n_symbols, ts=args.ts, pn_mode="ct",
@@ -333,7 +341,7 @@ def _cmd_ber(args) -> int:
                           pilot_len=args.pilot_len, pilot_period=args.pilot_period,
                           seed=args.seed, filter_span=args.span)
     rows = []
-    for esn0_db in [float(x) for x in args.esn0_db.split(",")]:
+    for esn0_db in _numbers("--esn0-db", args.esn0_db):
         cfg = LinkConfig(**{**base.__dict__, "esn0_db": esn0_db})
         stats = simulate_link(cfg)
         if stats.unwrap_flags:

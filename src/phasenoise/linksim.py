@@ -155,6 +155,8 @@ class LinkConfig:
             raise ValueError("rolloff must be in [0, 1]")
         if self.osf < 2:
             raise ValueError("osf must be >= 2")
+        if self.filter_span < 16:
+            raise ValueError("filter_span must be >= 16")
         if self.n_symbols < 1:
             raise ValueError("n_symbols must be >= 1")
         if not self.ts > 0:
@@ -491,15 +493,6 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
-def _taps_spectrum(taps: np.ndarray, size: int) -> np.ndarray:
-    """The length-``size`` DFT of the real ``taps``, built as ``scipy.fft.fft``
-    builds it for real input: the ``rfft`` half and its Hermitian mirror.
-    ``np.fft.fft`` of the taps differs in the last bits, and so would the
-    chain's outputs."""
-    r = np.fft.rfft(taps, size)
-    return np.concatenate([r, np.conj(r[1:size - r.size + 1][::-1])])
-
-
 @dataclass(frozen=True)
 class _TxChunk:
     """Whole pieces of the transmit sequence, at most ``CHUNK_SYMBOLS``
@@ -602,9 +595,9 @@ def _oversampled(cfg: LinkConfig, chunks):
     h = rrc_taps(cfg.rolloff, span, osf)
     size = _fast_len(B + span) * osf
     # tap spectra of shaping, matched filter and direct-path gain
-    h_tx = _taps_spectrum(h, size)
-    h_mf = _taps_spectrum(h / osf, size) / osf
-    h_g0 = _taps_spectrum(h * h / osf, size) / osf
+    h_tx = np.fft.fft(h, size)
+    h_mf = np.fft.fft(h / osf, size) / osf
+    h_g0 = np.fft.fft(h * h / osf, size) / osf
 
     def fft_filter(x: np.ndarray, spectrum: np.ndarray, up: bool) -> np.ndarray:
         """One overlap-save block of a real-tap FIR between the symbol rate and

@@ -36,7 +36,7 @@ def undb(level_db) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class PsdEstimate:
-    """One-sided averaged-periodogram estimate over [0, fs/2].
+    """One-sided Welch estimate over [0, fs/2] from Hann segments at half overlap.
 
     ``psd`` is a linear density normalized so that its integral over
     [0, fs/2] equals the sample variance; a white input of variance
@@ -46,7 +46,6 @@ class PsdEstimate:
     freqs: np.ndarray
     psd: np.ndarray
     n_segments: int
-    window: str
     resolution: float
     nonstationary: bool = False
 
@@ -67,14 +66,10 @@ class PsdComparison:
 _BATCH = 1 << 15
 
 
-def _window(name: str, n: int) -> np.ndarray:
-    """The periodic window a0 + (1 - a0)*cos(x), x over one period from -pi,
-    as ``scipy.signal.get_window(name, n)`` builds it, bit for bit."""
-    a0 = {"hann": 0.5, "hamming": 0.54}.get(name)
-    if a0 is None:
-        raise ValueError(f"window must be 'hann' or 'hamming', got {name!r}")
+def _hann(n: int) -> np.ndarray:
+    """The periodic Hann window 0.5 + 0.5*cos(x), x over one period from -pi."""
     x = np.linspace(-np.pi, np.pi, n + 1)[:-1]
-    return a0 + (1 - a0) * np.cos(x) if n > 1 else np.ones(1)  # the cosine is 0 at n = 1
+    return 0.5 + 0.5 * np.cos(x) if n > 1 else np.ones(1)  # the cosine is 0 at n = 1
 
 
 class WelchAccumulator:
@@ -88,22 +83,19 @@ class WelchAccumulator:
     not depend on how the stream is split into pushes.
     """
 
-    def __init__(self, n: int, fs: float, segment_len: int = DEFAULT_SEGMENT_LEN,
-                 overlap: float = 0.5, window: str = "hann"):
+    def __init__(self, n: int, fs: float, segment_len: int = DEFAULT_SEGMENT_LEN):
         if not 0.0 < fs < np.inf:
             raise ValueError(f"sampling rate fs must be finite and > 0, got {fs!r}")
         if segment_len & (segment_len - 1) or segment_len <= 0:
             raise ValueError(f"segment_len must be a power of two, got {segment_len}")
         if n < 4 * segment_len:
             raise ValueError(f"need at least {4 * segment_len} samples, got {n}")
-        if not (0.0 <= overlap < 1.0):
-            raise ValueError("overlap must be in [0, 1)")
-        self.n, self.fs, self.seg, self.window = n, fs, segment_len, window
-        self.hop = segment_len - int(segment_len * overlap)
+        self.n, self.fs, self.seg = n, fs, segment_len
+        self.hop = segment_len - segment_len // 2  # not segment_len // 2: 0 at length 1
         self.n_segments = 1 + (n - segment_len) // self.hop
         # at least two segments, so that every batch has lag-segment_len differences
         self.per_batch = max(2, _BATCH // segment_len)
-        win = _window(window, segment_len)
+        win = _hann(segment_len)
         # scaled to a density as scipy.signal.welch scales it, so that the
         # transforms see the same inputs as that reference
         self.win = win * (1.0 / np.sqrt(sum(win ** 2) / (1.0 / fs)))
@@ -165,27 +157,14 @@ class WelchAccumulator:
         # processes with corners far below fs/segment_len)
         flagged = bool(v2 > 0.0) if v1 == 0.0 else bool(v2 / v1 > 10.0)
         return PsdEstimate(freqs=np.fft.rfftfreq(self.seg, 1.0 / self.fs), psd=psd,
-                           n_segments=self.n_segments, window=self.window,
-                           resolution=self.fs / self.seg, nonstationary=flagged)
+                           n_segments=self.n_segments, resolution=self.fs / self.seg,
+                           nonstationary=flagged)
 
 
-def welch_psd(samples, fs: float, segment_len: int = DEFAULT_SEGMENT_LEN,
-              overlap: float = 0.5, window: str = "hann") -> PsdEstimate:
-    """Averaged modified periodogram (one-sided, density scaling).
-
-    Parameters
-    ----------
-    samples : array_like
-        Real-valued sample stream; needs at least 4 segments.
-    fs : float
-        Sampling rate in Hz.
-    segment_len : int
-        Power-of-two segment length.
-    overlap : float
-        Fractional segment overlap in [0, 1).
-    window : str
-        ``"hann"`` or ``"hamming"``, periodic, as ``scipy.signal.get_window``
-        builds them.
+def welch_psd(samples, fs: float, segment_len: int = DEFAULT_SEGMENT_LEN) -> PsdEstimate:
+    """Averaged modified periodogram (one-sided, density scaling) of the real
+    ``samples`` at sampling rate ``fs`` Hz: periodic Hann segments of a
+    power-of-two ``segment_len``, at least 4 of them, at half overlap.
 
     No detrending is applied, so the estimate conserves total power; an
     input whose mean drifts, so that the estimate is unreliable at low
@@ -193,7 +172,7 @@ def welch_psd(samples, fs: float, segment_len: int = DEFAULT_SEGMENT_LEN,
     :class:`WelchAccumulator`.
     """
     x = np.asarray(samples, dtype=float)
-    acc = WelchAccumulator(x.size, fs, segment_len, overlap, window)
+    acc = WelchAccumulator(x.size, fs, segment_len)
     acc.push(x)
     return acc.result()
 

@@ -85,7 +85,8 @@ class TestExitCodes:
                 # a key is echoed quoted, so that the message stays one line
                 ({**good, "a\nb": 1}, "unknown link config keys: 'a\\nb'"),
                 ([1], "link config must be a JSON object"),
-                (dict(good, pn_model=[1]), "pn_model member must be a JSON object")):
+                (dict(good, pn_model=[1]), "pn_model member must be a JSON object"),
+                (dict(good, filter_span=8), "filter_span must be >= 16")):
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(doc))
             code, out, err = run_capture(capsys, ["ber", "--config", str(path)])
@@ -292,7 +293,25 @@ def test_every_model_header_flags_a_high_corner(capsys, argv):
     (["psd", "--f3db", "1e200", "--l100-db", "-88", "--n", "3", "--phasor"],
      "f3db**2 must be finite, got f3db = 1e+200"),
     (["psd", "--f3db", "10", "--l100-db", "-88", "--f-ref", "1e200", "--n", "3"],
-     "pi*f_ref**2*l100_sq must be finite, got f_ref = 1e+200")])
+     "pi*f_ref**2*l100_sq must be finite, got f_ref = 1e+200"),
+    # malformed number lists and counts name their flag
+    (["sir", "--rho", "abc"], "--rho needs a comma list of numbers: 'abc'"),
+    (["sir", "--rho", "1e-3", "--rolloffs", "x"], "--rolloffs needs a comma list of numbers: 'x'"),
+    (["ber", "--esn0-db", ","], "--esn0-db needs a comma list of numbers: ','"),
+    (["psd", "--process", "1,2,x"], "--process needs F3DB,L100DB[,LINFDB]: '1,2,x'"),
+    (["psd", "--threegpp-psd0-db", "35", "--threegpp-zero", "3e3,x", "--threegpp-pole", "1,3.3"],
+     "--threegpp-zero needs FREQ,EXP: '3e3,x'"),
+    (["errors", "--sweep-rho", "1:2:x"],
+     "--sweep-rho needs LO:HI[:N], N a whole number >= 0: '1:2:x'"),
+    (["sir", "--sweep-rho", "1e-3:1e-2:-1"], "--sweep-rho needs LO:HI[:N], N a whole number >= 0"),
+    (["errors", "--sweep-rho", "1e-3:1e-2:2.5"], "--sweep-rho needs LO:HI[:N], N a whole"),
+    (["errors", "--sweep-rho", "1e-3:1e-2:inf"], "--sweep-rho needs LO:HI[:N], N a whole"),
+    (["psd", "--f3db", "10", "--l100-db", "-88", "--n", "-1"], "grid count must be >= 0, got -1"),
+    (["sir", "--rho", "1e-3", "--rolloffs", "nan"], "rolloff must be a finite number, got nan"),
+    (["ber", "--pn", "ct", "--f3db", "10", "--l100-db", "-88", "--span", "8"],
+     "filter_span must be >= 16"),
+    (["ber", "--pn", "dt", "--f3db", "10", "--l100-db", "-88", "--span", "8"],
+     "filter_span must be >= 16")])
 def test_non_finite_argument_is_one_error_line(capsys, tmp_path, argv, names):
     config = tmp_path / "cfg.json"
     config.write_text('{"ts": Infinity, "n_symbols": 2000}')
@@ -792,7 +811,7 @@ class TestFit:
      "28caa09317bdd24b8b321b3ccd0f380534cbfefd0623daec236b8bcce0602d60"),
     (["ber", "--pn", "ct", "--f3db", "10", "--l100-db", "-88", "--linf-db", "-114",
       "--n-symbols", "20000", "--esn0-db", "8", "--seed", "5"],
-     "bf86d3dc74e002f7348bc783c31f643733b652ac30abd020a3097dea7f279a8a"),
+     "376676ec0c224733e40a7e95c036c77556655e91782da06313892ba622742281"),
     (["ber", "--pn", "none", "--n-symbols", "20000", "--esn0-db", "6", "--seed", "5"],
      "7acebdd4b29a907ad577b051030367e755179c233760a0b69ebf4235ecaa56bb"),
     # 16-QAM over 150,000 symbols: many CHUNK_SYMBOLS chunks

@@ -181,46 +181,41 @@ def _streams(n, seed):
 
 
 class TestWelchAccumulator:
-    @pytest.mark.parametrize("window", ["hann", "hamming"])
+    # scipy's names of the one configuration: periodic Hann, half overlap
+    @pytest.mark.parametrize("window", ["hann"])
     def test_window_is_scipy_get_window(self, window):
         for n in 2 ** np.arange(17):
             want = scipy.signal.get_window(window, int(n))
-            assert spectral._window(window, int(n)).tobytes() == want.tobytes(), n
+            assert spectral._hann(int(n)).tobytes() == want.tobytes(), n
 
-    def test_other_window_names_are_refused(self):
-        with pytest.raises(ValueError, match="'hann' or 'hamming', got 'blackman'"):
-            WelchAccumulator(64, 1.0, 16, window="blackman")
-
-    @pytest.mark.parametrize("window", ["hann", "hamming"])
-    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
+    @pytest.mark.parametrize("window", ["hann"])
+    @pytest.mark.parametrize("overlap", [0.5])
     @pytest.mark.parametrize("log2_len", range(10, 15))
     def test_matches_scipy_welch(self, log2_len, overlap, window):
         # the satellite stream `validate` checks, over several batches of segments
         seg = 2 ** log2_len
         x = gen_composite(SAT, 1e-7, 40 * seg + 777, seed=log2_len).samples
-        est = welch_psd(x, fs=1e7, segment_len=seg, overlap=overlap, window=window)
+        est = welch_psd(x, fs=1e7, segment_len=seg)
         freqs, want = scipy.signal.welch(x, fs=1e7, window=window, nperseg=seg,
                                          noverlap=int(seg * overlap), detrend=False)
         assert np.array_equal(est.freqs, freqs)
         np.testing.assert_allclose(est.psd, want, rtol=1e-12, atol=0.0)
-        step = seg - int(seg * overlap)
-        assert est.n_segments == 1 + (x.size - seg) // step
+        assert est.n_segments == 1 + (x.size - seg) // (seg // 2)
         assert est.nonstationary == oracles.nonstationary_whole_array(x, seg)
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["white", "ramp", "ar_slow", "ar_fast", "walk"]),
-           log2_len=st.integers(0, 9), overlap=st.sampled_from([0.0, 0.5, 0.75]),
+           log2_len=st.integers(0, 9),
            batch=st.sampled_from([1, 64, 1024, spectral._BATCH]),
            extra=st.integers(0, 3000), cuts=st.lists(st.integers(0, 10 ** 6), max_size=12),
            seed=st.integers(0, 2 ** 32))
-    def test_push_splits_are_bit_identical(self, kind, log2_len, overlap, batch, extra,
-                                           cuts, seed):
+    def test_push_splits_are_bit_identical(self, kind, log2_len, batch, extra, cuts, seed):
         seg = 2 ** log2_len
         x = _streams(4 * seg + extra, seed)[kind]
         edges = [0, *sorted(c % (x.size + 1) for c in cuts), x.size]
         with mock.patch.object(spectral, "_BATCH", batch):
-            whole = welch_psd(x, fs=1.0, segment_len=seg, overlap=overlap)
-            acc = WelchAccumulator(x.size, 1.0, seg, overlap)
+            whole = welch_psd(x, fs=1.0, segment_len=seg)
+            acc = WelchAccumulator(x.size, 1.0, seg)
             for a, b in zip(edges, edges[1:]):
                 acc.push(x[a:b])
             part = acc.result()
@@ -253,8 +248,6 @@ class TestWelchAccumulator:
             WelchAccumulator(2 ** 16, 1.0, segment_len=1000)
         with pytest.raises(ValueError, match="at least"):
             WelchAccumulator(2 ** 16 - 1, 1.0, segment_len=2 ** 14)
-        with pytest.raises(ValueError, match="overlap"):
-            WelchAccumulator(2 ** 16, 1.0, segment_len=2 ** 12, overlap=1.0)
         acc = WelchAccumulator(64, 1.0, segment_len=16)
         acc.push(np.zeros(40))
         with pytest.raises(ValueError, match="of the 64 samples"):
@@ -268,7 +261,7 @@ class TestComparePsd:
         freqs = np.linspace(10.0, 1000.0, 64)
         model = lambda f: 1e-6 * np.ones_like(np.asarray(f))
         est = PsdEstimate(freqs=freqs, psd=2 * 2e-6 * np.ones_like(freqs),
-                          n_segments=1, window="hann", resolution=freqs[1] - freqs[0])
+                          n_segments=1, resolution=freqs[1] - freqs[0])
         cmp = compare_psd(est, model, band=(10.0, 1000.0))
         assert np.allclose(cmp.dev_db, 10 * math.log10(2.0), atol=1e-12)
         assert cmp.max_dev_db == pytest.approx(3.0103, abs=1e-4)
@@ -276,13 +269,12 @@ class TestComparePsd:
     def test_self_consistency(self):
         freqs = np.linspace(1.0, 100.0, 32)
         model = lambda f: 1.0 / np.asarray(f)
-        est = PsdEstimate(freqs=freqs, psd=2.0 / freqs, n_segments=1,
-                          window="hann", resolution=1.0)
+        est = PsdEstimate(freqs=freqs, psd=2.0 / freqs, n_segments=1, resolution=1.0)
         cmp = compare_psd(est, model, band=(1.0, 100.0))
         assert cmp.max_dev_db < 1e-12
 
     def test_empty_band_rejected(self):
         est = PsdEstimate(freqs=np.linspace(0, 100, 11), psd=np.ones(11),
-                          n_segments=1, window="hann", resolution=10.0)
+                          n_segments=1, resolution=10.0)
         with pytest.raises(ValueError, match="band"):
             compare_psd(est, lambda f: np.ones_like(f), band=(200.0, 300.0))
