@@ -3,13 +3,13 @@
 Linear modulation with root-raised-cosine shaping, multiplicative phase
 noise applied either on the oversampled (continuous-time surrogate)
 waveform or directly on the symbol-rate samples, matched filtering,
-pilot-aided phase tracking, and SIR/EVM/BER/SER measurement.  Shaping,
-matched filter and direct-path gain are one overlap-save FFT block
-filter (``fft_filter`` in ``_oversampled``, on ``numpy.fft``) that
-interpolates or decimates by osf in the frequency domain; the decimating
-filters compute only the symbol instants the link consumes.  The blocks
-lie on a fixed grid of absolute positions, and their cost is nearly flat
-in the span.
+pilot-aided phase tracking, and SIR/EVM/BER/SER measurement.  One step
+(``_impair``) applies the phase noise and the AWGN in both channels.
+Shaping and one receive filter, overlap-save FFT blocks on ``numpy.fft``,
+interpolate and decimate by osf; the receive filter gives the matched
+filter output and the direct-path gain at only the symbol instants the
+link consumes.  The blocks lie on a fixed grid of absolute positions,
+and their cost is nearly flat in the span.
 
 A run streams in chunks of at most ``CHUNK_SYMBOLS`` transmitted symbols,
 made of whole pieces: stretches of an information run cut every
@@ -554,17 +554,28 @@ def _tx_chunks(cfg: LinkConfig, const: Constellation):
         start, lo = start + tx.size, int(e[m - 1])
 
 
+def _impair(x: np.ndarray, phasor: np.ndarray | None, pn: CompositeGenerator | None,
+            awgn: np.random.Generator, variance: float | None) -> np.ndarray | None:
+    """Multiply ``x`` in place by the phasor of the next ``x.size`` samples of
+    ``pn``, then add complex AWGN of ``variance``, each skipped when None.
+    Returns the phasor, built in ``phasor`` or, if None, after the draw."""
+    if pn is not None:
+        phasor = _phasor(pn.take(x.size), out=phasor)
+        x *= phasor
+    if variance is not None:
+        x += _complex_awgn(awgn, x.size, variance)
+    return phasor
+
+
 def _symbol_rate(cfg: LinkConfig, chunks):
     """``dt`` channel: phase noise and AWGN on the symbol-rate samples of
     each chunk, yielded as (chunk, y, g0)."""
     pn = CompositeGenerator(cfg.pn_model, cfg.ts, member_seed(cfg.seed, _SEED_PN))
     awgn = _sub_rng(cfg.seed, _SEED_AWGN)
-    esn0 = _esn0(cfg)
+    variance = None if cfg.esn0_db is None else 1.0 / _esn0(cfg)
     for chunk in chunks:
-        g0 = _phasor(pn.take(chunk.tx.size))
-        y = chunk.tx * g0
-        if esn0 is not None:
-            y += _complex_awgn(awgn, chunk.tx.size, 1.0 / esn0)
+        y = chunk.tx.copy()
+        g0 = _impair(y, None, pn, awgn, variance)
         yield chunk, y, g0
 
 
@@ -578,101 +589,74 @@ def _oversampled(cfg: LinkConfig, chunks):
     the direct-path gain ``g0`` only at the symbol instants: real symbol
     i peaks ``span`` symbol slots after the start of its own.
 
-    The three filters are overlap-save FFT blocks (``fft_filter``) on a
-    grid of absolute positions that only ``_BLOCK`` (B) sets.  Block b
-    shapes the waveform of the slots of real symbols bB .. (b+1)B-1 from
-    those symbols and the ``span`` before them, then filters it, after
-    the ``span*osf`` samples before it, into the outputs of real symbols
-    bB-span .. (b+1)B-span-1.  A block runs once its input is complete,
-    so the outputs lag the input by ``span`` to B+span symbols and each
-    chunk waits in ``pending`` for its own; the tail pads and zeros
-    complete the last block.  A block's input does not depend on the chunk
-    sizes, so neither do the bits of its outputs.  Filter cost per symbol
-    is set by the FFT length, ``_fast_len(B + span)`` symbols: nearly flat
-    in span.
+    Shaping and the receive filter are overlap-save FFT blocks on a grid
+    of absolute positions that only ``_BLOCK`` (B) sets.  Block b shapes
+    the waveform of the slots of real symbols bB .. (b+1)B-1 from those
+    symbols and the ``span`` before them (zero-stuffing by osf tiles their
+    spectrum osf times).  The receive buffer ``rx`` holds, after the
+    ``span*osf`` samples before the block, its waveform in row 0 and, in
+    ``ct``, its phasor in row 1.  One decimating filter, taps h/osf on
+    row 0 and h*h/osf on row 1, keeps every osf-th output by folding the
+    product spectrum onto its first 1/osf: y and g0 of real symbols
+    bB-span .. (b+1)B-span-1.  A block runs once its input is
+    complete, so the outputs lag the input by ``span`` to B+span symbols
+    and each chunk waits in ``pending`` for its own; the tail pads and
+    zeros complete the last block.  A block's input does not depend on
+    the chunk sizes, so neither do the bits of its outputs.  Filter cost
+    per symbol is set by the FFT length, ``_fast_len(B + span)`` symbols:
+    nearly flat in span.
     """
     osf, span, B = cfg.osf, cfg.filter_span, _BLOCK
     h = rrc_taps(cfg.rolloff, span, osf)
-    size = _fast_len(B + span) * osf
-    # tap spectra of shaping, matched filter and direct-path gain
-    h_tx = np.fft.fft(h, size)
-    h_mf = np.fft.fft(h / osf, size) / osf
-    h_g0 = np.fft.fft(h * h / osf, size) / osf
-
-    def fft_filter(x: np.ndarray, spectrum: np.ndarray, up: bool) -> np.ndarray:
-        """One overlap-save block of a real-tap FIR between the symbol rate and
-        osf times it: a circular convolution whose length is ``spectrum.size``
-        (the DFT of the taps, a multiple of osf).
-
-        With ``up``, ``x`` holds symbols: zero-stuffing them by osf tiles
-        their spectrum osf times.  Otherwise ``x`` holds waveform samples and
-        only every osf-th output is kept: the product spectrum is folded onto
-        its first 1/osf (``spectrum`` carries the 1/osf of the fold).
-        """
-        n = spectrum.size // osf
-        if up:
-            return np.fft.ifft((spectrum.reshape(osf, n) * np.fft.fft(x, n)).ravel())
-        folded = (np.fft.fft(x, spectrum.size) * spectrum).reshape(osf, n).sum(axis=0)
-        return np.fft.ifft(folded)
-
+    n_fft = _fast_len(B + span)
+    size = n_fft * osf
+    rows = 2 if cfg.pn_mode == "ct" else 1
+    # tap spectra of the shaping and of each receive row (with the fold's 1/osf)
+    h_tx = np.fft.fft(h, size).reshape(osf, n_fft)
+    h_rx = [np.fft.fft(taps, size) / osf for taps in (h / osf, h * h / osf)[:rows]]
     pad_rng = _sub_rng(cfg.seed, _SEED_PAD)
     pads = Constellation("qpsk").map_bits(pad_rng.integers(0, 2, (2 * span, 2)))
     seq = pads[:span]  # symbols from bB-span on
     hist = span * osf
-    # receive-filter input of a block: history, then the block's waveform
-    rx = np.zeros(hist + B * osf, dtype=complex)
-    ph = pn = None
-    if cfg.pn_mode == "ct":
-        pn = CompositeGenerator(cfg.pn_model, cfg.ts / osf, member_seed(cfg.seed, _SEED_PN))
-        ph = np.zeros_like(rx)
+    rx = np.zeros((rows, hist + B * osf), dtype=complex)
+    pn = None if rows == 1 else CompositeGenerator(
+        cfg.pn_model, cfg.ts / osf, member_seed(cfg.seed, _SEED_PN))
     awgn = _sub_rng(cfg.seed, _SEED_AWGN)
     variance = None if cfg.esn0_db is None else osf / _esn0(cfg)
-
-    def impair(wave: np.ndarray, phasor: np.ndarray) -> None:
-        """Apply the phasor (into ``phasor``) and the AWGN to ``wave`` in place."""
-        if pn is not None:
-            _phasor(pn.take(wave.size), out=phasor)
-            wave *= phasor
-        if variance is not None:
-            wave += _complex_awgn(awgn, wave.size, variance)
-
     # the waveform of the leading pads feeds only outputs that are
     # dropped: its history stays zero, but its phasor and noise are
     # drawn so that every later sample gets the same draws
-    impair(np.zeros(hist, dtype=complex), np.empty(hist, dtype=complex))
+    _impair(np.zeros(hist, dtype=complex), None, pn, awgn, variance)
     b = n_in = 0  # next block, real symbols received
     pending = deque()
-    y = g0 = np.empty(0, dtype=complex)  # outputs of the pending chunks
+    out = [np.empty(0, dtype=complex)] * rows  # per row, outputs of the pending chunks
     for chunk in itertools.chain(chunks, [None]):
         if chunk is not None:
             pending.append(chunk)
             n_in += chunk.tx.size
         seq = np.concatenate([seq, pads[span:] if chunk is None else chunk.tx])
-        ys, gs = [y], [g0]
+        parts = [[o] for o in out]
         while seq.size >= B + span or (chunk is None and seq.size > span):
             n = min(B, seq.size - span) * osf  # waveform samples; fewer only at the end
-            wave = fft_filter(seq[:B + span], h_tx, up=True)
-            for buf in (rx, ph):
-                if buf is not None:
-                    buf[:hist] = buf[buf.size - hist:]
-                    buf[hist + n:] = 0.0
-            new = rx[hist:hist + n]
-            new[:] = wave[hist:hist + n]
-            impair(new, None if ph is None else ph[hist:hist + n])
+            wave = np.fft.ifft((h_tx * np.fft.fft(seq[:B + span], n_fft)).ravel())
+            rx[:, :hist] = rx[:, -hist:]
+            rx[:, hist + n:] = 0.0
+            rx[0, hist:hist + n] = wave[hist:hist + n]
+            # the phasor goes to row 1 (``ct``); without phase noise it is unused
+            _impair(rx[0, hist:hist + n], rx[-1, hist:hist + n], pn, awgn, variance)
             # outputs of real symbols lo .. lo+B-1; keep those of 0 .. n_in-1
             lo = b * B - span
             keep = slice(max(0, -lo), n_in - lo)
-            ys.append(fft_filter(rx, h_mf, up=False)[span:span + B][keep])
-            # without phase noise the direct path has the unit gain of the
-            # unit-energy taps
-            gs.append(np.ones_like(ys[-1]) if ph is None else
-                      fft_filter(ph, h_g0, up=False)[span:span + B][keep])
+            for part, row, spec in zip(parts, rx, h_rx):
+                part.append(np.fft.ifft((np.fft.fft(row, size) * spec)
+                                        .reshape(osf, n_fft).sum(axis=0))[span:span + B][keep])
             seq, b = seq[B:], b + 1
-        y, g0 = np.concatenate(ys), np.concatenate(gs)
-        while pending and y.size >= pending[0].tx.size:
+        out = [np.concatenate(part) for part in parts]
+        while pending and out[0].size >= pending[0].tx.size:
             k = pending[0].tx.size
-            yield pending.popleft(), y[:k], g0[:k]
-            y, g0 = y[k:], g0[k:]
+            # without phase noise, g0 is the unit gain of the unit-energy taps
+            yield pending.popleft(), out[0][:k], out[1][:k] if pn else np.ones(k, dtype=complex)
+            out = [o[k:] for o in out]
 
 
 def simulate_link(cfg: LinkConfig) -> LinkStats:

@@ -25,7 +25,10 @@ def load_points(path) -> np.ndarray:
                 continue
             if len(line) < 2:
                 raise ValueError(f"{path}: line {reader.line_num}: expected freq_hz,level_db")
-            rows.append((float(line[0]), float(line[1])))
+            try:
+                rows.append((float(line[0]), float(line[1])))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     pts = np.asarray(rows, dtype=float)
     if pts.size == 0:
         raise ValueError(f"{path}: no data rows")

@@ -771,6 +771,26 @@ class TestFit:
         assert code == 1
         assert f"point row {row} is not finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--k", "1"], ["psd", "--f3db", "10", "--l100-db", "-88"]], ids=["fit", "psd"])
+    @pytest.mark.parametrize("row, text, cell", [
+        (1, "x,1", "x"), (3, "1e3,", ""), (5, "100000.0,-120 dB", "-120 dB")],
+        ids=["bad_frequency", "empty_level", "level_with_unit"])
+    def test_unparsable_point_names_its_file_and_line(self, capsys, tmp_path, argv, row,
+                                                      text, cell):
+        lines = ["freq_hz,level_db", "10.0,-80.0", "100.0,-90.0", "1000.0,-100.0",
+                 "10000.0,-110.0", "100000.0,-120.0"]
+        lines[row] = text
+        path = tmp_path / "pts.csv"
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path}: line {row + 1}: could not convert string to float: {cell!r}"
+        with pytest.raises(ValueError) as info:
+            load_points(path)
+        assert str(info.value) == message
+        code, out, err = run_capture(capsys, [*argv, "--points", str(path)])
+        assert code == 1 and out == ""
+        assert err == f"phasenoise: error: {message}\n"
+
     @pytest.mark.filterwarnings("error")
     def test_frequencies_equal_in_log10_are_one_error_line(self, capsys, tmp_path):
         # 1e9 and the double below it share their log10, where the fit's

@@ -1,5 +1,6 @@
 """Link simulator: pulses, tracking, SIR/BER measurement, determinism."""
 
+import dataclasses
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -122,11 +123,13 @@ class TestPolyphaseChain:
         qpsk = Constellation("qpsk")
         tx = qpsk.map_bits(np.random.default_rng(osf).integers(0, 2, (n_symbols, 2)))
         pieces = [SimpleNamespace(tx=piece) for piece in np.split(tx, cuts)]
-        out = list(linksim._oversampled(cfg, pieces))
-        assert [o[0] for o in out] == pieces
-        y = np.concatenate([o[1] for o in out])
-        g0 = np.concatenate([o[2] for o in out])
 
+        def run(cfg):
+            out = list(linksim._oversampled(cfg, pieces))
+            assert [o[0] for o in out] == pieces
+            return [np.concatenate([o[k] for o in out]) for k in (1, 2)]
+
+        y, g0 = run(cfg)
         pad_bits = linksim._sub_rng(cfg.seed, linksim._SEED_PAD).integers(0, 2, (2 * span, 2))
         pads = qpsk.map_bits(pad_bits)
         seq = np.concatenate([pads[:span], tx, pads[span:]])
@@ -138,6 +141,11 @@ class TestPolyphaseChain:
         assert np.max(np.abs(y - y_ref)) < 1e-12
         assert np.max(np.abs(g0 - g0_ref)) < 1e-12
         assert np.max(np.abs(g0_ref - 1.0)) > 1e-3  # the phase noise is not negligible
+        # without phase noise: the chain at theta = 0 and exactly the unit gain
+        y, g0 = run(dataclasses.replace(cfg, pn_mode="none"))
+        y_ref, _ = oracles.oversampled_chain(seq, h, osf, np.zeros_like(theta), span, n_symbols)
+        assert np.max(np.abs(y - y_ref)) < 1e-12
+        assert np.all(g0 == 1.0)
 
     @pytest.mark.parametrize("osf", [2, 5, 8])
     @pytest.mark.parametrize("rolloff", [0.0, 0.3])
@@ -597,6 +605,24 @@ class TestChunking:
         for chunk in (1, 700, 5000, b - 1, b + 1, 3 * b + 7):
             y_c, g0_c = run(chunk)
             assert np.array_equal(y_c, y) and np.array_equal(g0_c, g0)
+
+    def test_symbol_rate_channel_is_its_sub_seed_draws(self):
+        # dt: y = tx*exp(j*theta) + w, with theta and w drawn from the run's
+        # documented sub-seeds, over two chunks of a composite run
+        model = CompositeModel((OscillatorParams.from_db(0.0, -100.0),
+                                OscillatorParams.from_db(5e3, -95.0, -130.0)))
+        cfg = LinkConfig(constellation="qam16", n_symbols=20_000, pn_mode="dt",
+                         pn_model=model, esn0_db=17.0, seed=8)
+        out = list(linksim._symbol_rate(cfg, linksim._tx_chunks(cfg, Constellation("qam16"))))
+        assert len(out) == 2
+        tx = np.concatenate([o[0].tx for o in out])
+        y, g0 = (np.concatenate([o[k] for o in out]) for k in (1, 2))
+        n = tx.size
+        theta = gen_composite(model, cfg.ts, n, member_seed(cfg.seed, linksim._SEED_PN)).samples
+        w = np.random.default_rng(member_seed(cfg.seed, linksim._SEED_AWGN)).standard_normal(2 * n)
+        w = w.view(complex) * math.sqrt(10.0 ** (-cfg.esn0_db / 10.0) / 2.0)
+        assert np.array_equal(g0, np.exp(1j * theta))
+        assert np.max(np.abs(y - (tx * g0 + w))) < 1e-12
 
     def test_tracking_in_pieces_matches_one_pass(self):
         # frame by frame, carrying the last field, against one pass over a
