@@ -34,7 +34,8 @@ from .pointsio import load_points
 from .psd import composite_psd, phasor_psd, pn_autocorr, phasor_autocorr, sampled_psd, threegpp_psd
 # gen_composite, save_stream_* and welch_psd stay module attributes:
 # perfbench/spans.py wraps them on this module
-from .spectral import WelchAccumulator, db, undb, welch_psd, compare_psd  # noqa: F401
+from .spectral import (DEFAULT_SEGMENT_LEN, WelchAccumulator, db, undb,  # noqa: F401
+                       welch_psd, compare_psd)
 from .timegen import (CompositeGenerator, format_rows, gen_composite,  # noqa: F401
                       open_text, save_stream_bin, save_stream_csv, write_csv,
                       write_stream_bin, write_stream_csv)
@@ -435,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ts", type=float, required=True)
     p.add_argument("--n", type=int, default=2 ** 22)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--segment-len", type=int, default=2 ** 14)
+    p.add_argument("--segment-len", type=int, default=DEFAULT_SEGMENT_LEN)
     p.add_argument("--band-top-fraction", type=float, default=0.4,
                    help="upper band edge as a fraction of 1/ts")
 

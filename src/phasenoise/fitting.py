@@ -2,18 +2,14 @@
 
 Fits a sum of at most K Lorentzian processes plus one shared white floor
 to (frequency, dB level) point sets such as datasheet curves, masks, or
-the multi-pole/zero cellular model.  The objective is the RMS dB error
-over the supplied points, minimized as a least-squares problem inside a
-box derived from the points, from deterministic slope-based starts, by a
-bounded Levenberg-Marquardt solver in numpy (``_optimize``) on the exact
-Jacobian of the dB residuals.  Its tolerances are scipy's least_squares
-defaults (FTOL = XTOL = GTOL = 1e-8, at most 100 evaluations per
-variable); a fit is ``converged`` if the solve that produced its result
-stopped on a tolerance rather than on that budget.  A greedy stage that
-adds nothing ends the greedy pass; the later stages are flagged
-degenerate.  ``FitResult.iterations`` counts the residual evaluations
-performed; the solver spends none on derivatives, and the Jacobian
-reuses the model terms of the point just evaluated.
+the multi-pole/zero cellular model.  There is one objective, the RMS dB
+error over the supplied points, and every solve minimizes it as a
+least-squares problem inside a box derived from the points, by a bounded
+Levenberg-Marquardt solver in numpy (``_optimize``) on the exact Jacobian
+of the dB residuals.  Its tolerances are scipy's least_squares defaults
+(FTOL = XTOL = GTOL = 1e-8, at most 100 evaluations per variable).  The
+solves start from deterministic slope-based guesses, read off the points
+or off the residual curve that the members found so far leave.
 """
 
 from __future__ import annotations
@@ -44,6 +40,18 @@ _TINY = np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class FitResult:
+    """``params`` in corner order, the floor on the highest corner, with
+    ``residual_rms_db`` their RMS dB error over the points.
+    ``iterations`` counts the residual evaluations of every solve of the
+    fit; the solver spends none on derivatives.  ``converged`` is true if
+    the solve that produced the result stopped on a tolerance rather than
+    on its evaluation budget.
+    ``flags`` name what the fit met: ``stage<j>:<flag>`` for a greedy
+    stage's start, ``stage<j>:degenerate`` for each stage from the first
+    that did not count, ``segment-seeded``, ``member<i>:dropped``,
+    ``floor:dropped`` and ``free-running-like``.  ``stage_rms_db`` holds
+    the RMS on the points after each greedy stage, then the result's."""
+
     params: tuple[OscillatorParams, ...]
     residual_rms_db: float
     iterations: int
@@ -308,38 +316,33 @@ def _segment_member_seeds(freqs: np.ndarray, levels: np.ndarray, k: int) -> list
     return [np.array(seeds + [linf_db])]
 
 
-def _greedy_members(freqs, levels, k) -> tuple[np.ndarray, list, list[str], list[float], int]:
-    """Stagewise fit-subtract loop; the cumulative residual never increases.
-
-    A stage whose process does not lower the cumulative residual is left
-    out.  It leaves x unchanged, so every later stage would repeat its
-    start, solve and trial: it ends the pass, and it and each later stage
-    are flagged degenerate at the RMS so far.  Its trial is returned as an
-    extra start for the joint polish: a process that does not help while
-    the earlier members are held fixed may still help once all of them are
-    refitted together.
-    """
-    flags, trials, stage_rms = [], [], []
-    x, resid_levels, evals, best_rms = None, levels.copy(), 0, math.inf
+def _greedy_members(freqs, levels, k) -> tuple[tuple, list[str], list[float]]:
+    """Stagewise fit on the points.  A stage starts from the members so far
+    plus the one ``_initial_guess`` reads off the residual curve (the
+    points less the model, in the linear domain, floored at 10% of the
+    point value), under the sum of their floors.  The first stage that
+    does not lower the RMS by more than DROP_TOL_DB ends the pass; it and
+    each later stage are flagged degenerate at the RMS so far.  Returns
+    the ``_optimize`` result of the last stage that counted, with the
+    evaluations of all stages, then the flags and the RMS per stage."""
+    flags, stage_rms = [], []
+    x, rms, converged, resid_levels, evals = None, math.inf, False, levels, 0
     for stage in range(k):
-        x0, st_flags = _initial_guess(freqs, resid_levels)
-        y, _fun, nfev, _ok = _optimize(freqs, resid_levels, x0)
+        guess, st_flags = _initial_guess(freqs, resid_levels)
+        x0 = guess if x is None else np.append(np.append(x[:-1], guess[:-1]),
+                                               db(undb(x[-1]) + undb(guess[-1])))
+        y, y_rms, nfev, y_converged = _optimize(freqs, levels, x0)
         evals += nfev
-        # the members of x and y under the sum of their floors
-        trial = y if x is None else np.append(np.append(x[:-1], y[:-1]),
-                                              db(undb(x[-1]) + undb(y[-1])))
-        trial_rms = _rms_db(freqs, levels, trial)
-        if not trial_rms <= best_rms:
-            trials.append(trial)
+        if not y_rms < rms - DROP_TOL_DB:
             flags += [f"stage{j}:degenerate" for j in range(stage, k)]
-            stage_rms += [best_rms] * (k - stage)
+            stage_rms += [rms] * (k - stage)
             break
-        x, best_rms = trial, trial_rms
+        x, rms, converged = y, y_rms, y_converged
         flags.extend(f"stage{stage}:{f}" for f in st_flags)
-        stage_rms.append(best_rms)
+        stage_rms.append(rms)
         point_lin = undb(levels)
         resid_levels = db(np.maximum(point_lin - undb(_model_db(freqs, x)), 0.1 * point_lin))
-    return x, trials, flags, stage_rms, evals
+    return (x, rms, evals, converged), flags, stage_rms
 
 
 def _prune(freqs, levels, x, rms) -> tuple[np.ndarray, list[str]]:
@@ -363,21 +366,15 @@ def _prune(freqs, levels, x, rms) -> tuple[np.ndarray, list[str]]:
 def fit_composite(points, k: int) -> FitResult:
     """Fit of at most k processes and one shared floor.
 
-    Deterministic starts: the greedy fit-subtract pass (subtraction in
-    the linear domain, floored at 10% of the point value; the first stage
-    that does not lower the cumulative residual is left out and ends the
-    pass, and it and every later stage are flagged ``stage<j>:degenerate``),
-    the trial of that stage, and one member per detected -20 dB/dec segment.
-    Each start is clipped into the box of ``_box`` and polished jointly by
-    bounded least squares; the lowest residual wins.  Members with one
-    corner then merge, and each member, then the floor, whose removal
+    Deterministic starts, each solved on the points: the greedy pass of
+    ``_greedy_members``, and one member per detected -20 dB/dec segment
+    (flagged ``segment-seeded``).  The lowest residual wins.  Members with
+    one corner then merge, and each member, then the floor, whose removal
     raises the RMS by at most ``DROP_TOL_DB`` is dropped and flagged
     (``member<i>:dropped``, ``floor:dropped``); after any drop the rest is
-    polished again.  The reported residual is thus non-increasing across
-    the greedy stages and the polish, up to ``DROP_TOL_DB``.  Members come
-    in corner order, the floor on the highest corner; a lowest corner
-    below the first point is flagged ``free-running-like``.
-    ``iterations`` counts the residual evaluations performed.
+    solved again.  The reported residual is thus at most the last counted
+    greedy stage's, up to ``DROP_TOL_DB``.  A lowest corner below the
+    first point is flagged ``free-running-like``.
     """
     pts = validate_points(points)
     if not 1 <= k <= 4:
@@ -385,12 +382,12 @@ def fit_composite(points, k: int) -> FitResult:
     freqs, levels = pts[:, 0], pts[:, 1]
     if freqs.size < 4 * k:
         raise ValueError(f"need at least {4 * k} points for k={k}")
-    x, trials, flags, stage_rms, evals = _greedy_members(freqs, levels, k)
+    greedy, flags, stage_rms = _greedy_members(freqs, levels, k)
     seg_starts = _segment_member_seeds(freqs, levels, k)
     flags += ["segment-seeded"] * len(seg_starts)
-    polished = [_optimize(freqs, levels, start) for start in [x] + trials + seg_starts]
-    evals += sum(p[2] for p in polished)
-    x, fun, _, converged = min(polished, key=lambda p: p[1])
+    solves = [greedy] + [_optimize(freqs, levels, start) for start in seg_starts]
+    evals = sum(p[2] for p in solves)
+    x, fun, _, converged = min(solves, key=lambda p: p[1])
     x, dropped = _prune(freqs, levels, x, fun)
     if dropped:
         x, fun, nfev, converged = _optimize(freqs, levels, x)
