@@ -320,10 +320,10 @@ def _derotate(rx: np.ndarray, positions: np.ndarray, centers: np.ndarray,
     between the field estimates ``phases`` at ``centers``.  Each symbol's
     phase depends only on the two fields around it."""
     # complex products are not bit-commutative, and numpy computes a large
-    # ``rx * temporary`` in place as ``temporary * rx``; fix one order
-    out = _phasor(-np.interp(positions, centers, phases))
-    out *= rx
-    return out
+    # ``rx * temporary`` in place as ``temporary * rx``; fix one order.  An
+    # in-place complex ``*=`` may round one element otherwise than many; a
+    # product into a new array rounds alike at every length
+    return np.multiply(_phasor(-np.interp(positions, centers, phases)), rx)
 
 
 def pilot_phase_track(rx: np.ndarray, layout: PilotLayout,
@@ -561,7 +561,7 @@ def _impair(x: np.ndarray, phasor: np.ndarray | None, pn: CompositeGenerator | N
     Returns the phasor, built in ``phasor`` or, if None, after the draw."""
     if pn is not None:
         phasor = _phasor(pn.take(x.size), out=phasor)
-        x *= phasor
+        x[...] = x * phasor  # not ``x *= phasor``: see _derotate
     if variance is not None:
         x += _complex_awgn(awgn, x.size, variance)
     return phasor

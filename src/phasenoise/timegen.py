@@ -19,9 +19,12 @@ cumulative sum of the block's innovations scaled by a**-j, and a block
 starts from the last sample of the one before.  The grid is fixed by
 the sample index, not by the take, so the bits do not depend on how the
 stream is split; they agree with a direct-form recursion to about 1e-13
-of the stream's standard deviation.
+of the stream's standard deviation.  The innovations are drawn straight
+into the output and scanned there in place.
 ``CompositeGenerator`` produces the same stream block by block, with
 the same bits at any block size; ``gen_composite`` is its one-block case.
+A take sums its sources 65536 samples at a time, so it holds its result
+and one block of draws, whatever its length.
 The CSV and binary writers take an iterable of blocks in the same way,
 and ``save_stream_csv``/``save_stream_bin`` are their one-block case.
 """
@@ -44,6 +47,8 @@ from .params import OscillatorParams, as_composite
 F3DB_TS_MAX = 0.1
 
 _BIN_MAGIC = b"PNSTREAM1\n"
+
+_BLOCK = 1 << 16  # samples a CompositeGenerator take sums at a time
 
 
 @dataclass(frozen=True)
@@ -144,25 +149,29 @@ def _scan_tables(a: float, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _ArScan:
-    """The recursion y[k] = a*y[k-1] + x[k], y[-1] = 0, fed in pieces.
+    """The recursion y[k] = a*y[k-1] + x[k], y[-1] = 0, run in place on
+    successive pieces of x.
 
     Samples fall on a fixed grid of absolute blocks of L samples.  In a
     block that starts at sample b, with carry c = y[b-1],
 
         y[b+j] = a**j * (a*c + cumsum(x[b:] * a**-j)[j]).
 
-    The carry and the open block's inputs are kept between calls, and a
-    call recomputes that block; a row's cumsum is sequential, so every
-    sample is the same float operations whatever the piece sizes.  At
-    a = 1 the tables are ones and their multiplies are skipped.
+    A call overwrites its inputs with their outputs, in rows of the grid:
+    the rest of the open block, whole blocks, then the start of the next.
+    The carry and the open block's running cumsum are kept between calls,
+    and the next call continues that cumsum from its last value; a
+    cumsum is sequential, so every sample is the same float operations
+    whatever the piece sizes, and each input is scanned once.  At a = 1
+    the tables are ones and their multiplies are skipped.
     ``scale`` is the standard deviation of x.  L is 1024, or less where
     a**-(L-1) * scale would pass 1e280, which leaves a factor 1e28 for
     the tail of x and the block's cumsum before float64 overflows.  The
     block shortens only near the model's limit f3db*Ts = 0.1 (a = 0.53,
     a**-1023 = 1.3e279) with a scale above 1, below that pole (a
     hand-built ``ArCoefficients``), or at a scale that float64 can
-    barely hold.  At a = 0, the white floor, y is x and the call
-    returns its input.
+    barely hold.  At a = 0, the white floor, y is x and the call leaves
+    its input as it is.
     """
 
     def __init__(self, a: float, scale: float = 1.0):
@@ -171,45 +180,58 @@ class _ArScan:
         self.a = a
         if a > 0.0:
             self.up, self.down = _scan_tables(a, size)
-        self.carry = 0.0            # last output before the open block
-        self.held = np.empty(0)     # inputs of the open block so far
+        self.carry = 0.0  # last output before the open block
+        self.head = 0     # inputs of the open block so far
+        self.sum = 0.0    # their cumsum
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.a == 0.0:
             return x
-        size, head = self.up.size, self.held.size
-        end = head + len(x)
-        full, rows = end // size, -(-end // size)
-        buf = np.zeros(rows * size)
-        buf[:head] = self.held
-        buf[head:end] = x
-        self.held = buf[full * size:end].copy()
-        grid = buf.reshape(rows, size)
+        size = self.up.size
+        lo = min(x.size, -self.head % size)  # the open block's rest
+        hi = lo + (x.size - lo) // size * size
+        if lo:
+            self._rows(x[None, :lo], self.head)
+        if hi > lo:
+            self._rows(x[lo:hi].reshape(-1, size), 0)
+        if hi < x.size:
+            self._rows(x[None, hi:], 0)
+        return x
+
+    def _rows(self, rows: np.ndarray, j: int) -> None:
+        """Rows of the grid from column j, in place; every row but the
+        last ends its block."""
+        k = j + rows.shape[1]
         if self.a != 1.0:
-            grid *= self.down
-        np.cumsum(grid, axis=1, out=grid)
-        # each full block's last output, by the grid's own operations below
-        start = np.empty(rows)
+            rows *= self.down[j:k]
+        if j:
+            rows[0, 0] += self.sum
+        np.cumsum(rows, axis=1, out=rows)
+        # each row's start, and each full block's last output, by the
+        # operations below
+        start = np.empty(len(rows))
         a, last, c = self.a, float(self.up[-1]), self.carry
-        for r, s in enumerate(grid[:full, -1].tolist()):
+        for r, s in enumerate(rows[:, -1].tolist()):
             start[r] = ac = a * c
             c = last * (ac + s)
-        if full < rows:
-            start[full] = a * c
-        self.carry = c
-        grid += start[:, None]
+        if k == self.up.size:
+            self.carry, self.head = c, 0
+        else:
+            self.sum, self.head = s, k
+        rows += start[:, None]
         if self.a != 1.0:
-            grid *= self.up
-        return buf[head:end]
+            rows *= self.up[j:k]
 
 
 class _ArSource:
-    """AR(1) recursion drawn block by block through one ``_ArScan``.
+    """AR(1) recursion drawn through one ``_ArScan``.
 
     theta_0 is drawn from the stationary distribution, or is 0 without a
     draw at a = 1 (the random walk); at a = 0, the white floor, it has
-    the innovations' variance.  Every take continues the scan's fixed
-    grid of blocks, so the bits do not depend on the take sizes.
+    the innovations' variance.  A take draws straight into the array it
+    returns, or into ``out``, and the scan runs there in place.  Every
+    take continues the scan's fixed grid of blocks, so the bits do not
+    depend on the take sizes.
     """
 
     def __init__(self, coeffs: ArCoefficients, seed: int):
@@ -223,19 +245,19 @@ class _ArSource:
                       {"kind": "ar", "a": coeffs.a, "sigma_u_sq": coeffs.sigma_u_sq}
                       if self.stationary else {"kind": "wiener", "sigma_u_sq": coeffs.sigma_u_sq})
 
-    def take(self, n: int) -> np.ndarray:
+    def take(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The next n samples, in ``out`` (n long) or a new array."""
+        out = np.empty(n) if out is None else out
         if n == 0:
-            return np.empty(0)
-        drive = np.empty(n)
+            return out
         if self.head:  # theta_0 first
-            drive[0] = self.rng.normal(0.0, self.sd0) if self.stationary else 0.0
-        # normal(0, sd, k) is 0.0 + sd*z: the same bits, drawn in place so
-        # that a take holds no second array of its length
-        rest = self.rng.standard_normal(out=drive[self.head:])
+            out[0] = self.rng.normal(0.0, self.sd0) if self.stationary else 0.0
+        # normal(0, sd, k) is 0.0 + sd*z: the same bits, drawn in place
+        rest = self.rng.standard_normal(out=out[self.head:])
         rest *= self.sd
         rest += 0.0
         self.head = 0
-        return self.scan(drive)
+        return self.scan(out)
 
 
 def _one_block(source, n: int, ts: float, seed: int) -> PnStream:
@@ -287,7 +309,10 @@ class CompositeGenerator:
     """Composite phase-noise stream produced block by block: the sum of the
     model's ``ar_sources``, each seeded with member_seed(seed, k).  Successive
     ``take(n)`` calls continue the stream: their concatenation is bit-identical
-    to one ``take`` of the total length, whatever the block sizes."""
+    to one ``take`` of the total length, whatever the block sizes.  A take
+    fills its result ``_BLOCK`` samples at a time, each source drawing a
+    block into one shared buffer that is added in the sources' order, so
+    it holds no other array of its length."""
 
     def __init__(self, model, ts: float, seed: int):
         self.sources = [_ArSource(c, member_seed(seed, k)) for k, c in ar_sources(model, ts)]
@@ -295,9 +320,13 @@ class CompositeGenerator:
 
     def take(self, n: int) -> np.ndarray:
         """The next n samples of the stream."""
-        total = np.zeros(n)
-        for source in self.sources:
-            total += source.take(n)
+        total = np.empty(n)
+        draws = np.empty(min(n, _BLOCK))
+        for lo in range(0, n, _BLOCK):
+            block = total[lo:lo + _BLOCK]
+            block.fill(0.0)
+            for source in self.sources:
+                block += source.take(block.size, draws[:block.size])
         return total
 
 

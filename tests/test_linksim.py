@@ -549,6 +549,10 @@ class TestChunking:
              osf=2, span=16, n_symbols=20_000, seed=1)
     @example(chunk=500, mode="ct", constellation="qpsk", pilots=(36, 5000), esn0_db=None,
              osf=3, span=17, n_symbols=12_345, seed=2)
+    # information symbol 128 is a piece of its own, derotated alone in
+    # one-symbol chunks
+    @example(chunk=1, mode="none", constellation="qpsk", pilots=(1, 129), esn0_db=None,
+             osf=2, span=16, n_symbols=142, seed=2)
     def test_stats_equal_at_any_chunk_size(self, chunk, mode, constellation, pilots,
                                            esn0_db, osf, span, n_symbols, seed):
         cfg = LinkConfig(constellation=constellation, osf=osf, n_symbols=n_symbols,
@@ -588,11 +592,18 @@ class TestChunking:
         assert np.array_equal(whole.fields, lay.field_starts)
         assert np.array_equal(whole.info, lay.info_positions)
 
-    @pytest.mark.parametrize("mode", ["dt", "ct", "none"])
-    def test_channel_output_bit_identical(self, monkeypatch, mode):
+    @pytest.mark.parametrize("mode,n_symbols,pilot_len,seed", [
+        pytest.param("dt", 30_000, 20, 4, id="dt"),
+        pytest.param("ct", 30_000, 20, 4, id="ct"),
+        pytest.param("none", 30_000, 20, 4, id="none"),
+        # without pilots the shipped chunk size leaves the last symbol a
+        # chunk of its own
+        pytest.param("dt", linksim.CHUNK_SYMBOLS + 1, 0, 8, id="dt_one_symbol_last_chunk"),
+    ])
+    def test_channel_output_bit_identical(self, monkeypatch, mode, n_symbols, pilot_len, seed):
         # the received samples themselves, not only the statistics
-        cfg = LinkConfig(n_symbols=30_000, pn_mode=mode, pn_model=SAT, esn0_db=10.0,
-                         pilot_len=20, pilot_period=500, seed=4, filter_span=17)
+        cfg = LinkConfig(n_symbols=n_symbols, pn_mode=mode, pn_model=SAT, esn0_db=10.0,
+                         pilot_len=pilot_len, pilot_period=500, seed=seed, filter_span=17)
         channel = linksim._symbol_rate if mode == "dt" else linksim._oversampled
 
         def run(chunk):
@@ -602,7 +613,7 @@ class TestChunking:
 
         y, g0 = run(10 ** 9)
         b = linksim._BLOCK
-        for chunk in (1, 700, 5000, b - 1, b + 1, 3 * b + 7):
+        for chunk in (1, 700, 5000, b - 1, b + 1, 3 * b + 7, linksim.CHUNK_SYMBOLS):
             y_c, g0_c = run(chunk)
             assert np.array_equal(y_c, y) and np.array_equal(g0_c, g0)
 

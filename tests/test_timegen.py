@@ -1,6 +1,7 @@
 """Discrete-time generators: coefficients, distributions, determinism, dumps."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -276,7 +277,9 @@ class TestGenWhiteFloor:
         scan = _ArScan(0.0, 2.0)
         for k in sizes:
             x = np.random.default_rng(k).normal(size=k)
+            want = x.copy()
             assert scan(x) is x
+            assert x.tobytes() == want.tobytes()
 
     def test_hand_built_pole_zero_keeps_white_model(self):
         linf_sq, ts = 1e-11, 1e-7
@@ -341,7 +344,7 @@ class TestGenComposite:
         model = CompositeModel((OscillatorParams.from_db(0.0, -100.0),
                                 OscillatorParams.from_db(5e3, -95.0, -130.0),
                                 OscillatorParams.from_db(0.0, -105.0, -120.0)))
-        ts, n, seed = 1e-7, 5000, 2024
+        ts, n, seed = 1e-7, 70_000, 2024  # past the generator's first block
         sources = ar_sources(model, ts)
         assert [k for k, _ in sources] == [0, 2, 3, 4, 5]
         assert [c.a for _, c in sources][2::2] == [0.0, 0.0]
@@ -463,3 +466,37 @@ class TestStreamingGenerator:
         got = np.concatenate([gen.take(block) for _ in range(20_000 // block + 1)])
         want = gen_composite(model, 1e-7, got.size, 11).samples
         assert np.array_equal(got, want)
+
+    def test_each_input_scanned_once(self, monkeypatch):
+        # the ``ct`` link's takes: every one after the first starts 160
+        # samples into a scan block, which continues from its running sum
+        sizes = [160] + [10240] * 48 + [8640]
+        seen = []
+        cumsum = np.cumsum
+
+        def counted(x, *args, **kwargs):
+            seen.append(x.size)
+            return cumsum(x, *args, **kwargs)
+
+        gen = CompositeGenerator(SAT, 2e-8, 7)  # one scanned member, one floor
+        monkeypatch.setattr(np, "cumsum", counted)
+        for k in sizes:
+            gen.take(k)
+        assert sum(sizes) <= sum(seen) <= sum(sizes) + len(sizes)
+
+    @pytest.mark.parametrize("make", [
+        lambda n: gen_composite(SAT, 1e-7, n, 1),
+        lambda n: gen_composite(TestStreamingGenerator.MODELS["composite"], 1e-7, n, 1),
+        lambda n: gen_ar(ar_coefficients(SAT, 1e-7), n, 1),
+        lambda n: gen_wiener(1e-3, n, 1),
+    ], ids=["sat", "two_members", "ar", "wiener"])
+    def test_one_block_holds_its_result_and_one_block(self, make):
+        n = 1 << 20
+        make(1000)  # the scan tables are cached outside the trace
+        tracemalloc.start()
+        try:
+            make(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + (2 << 20)
