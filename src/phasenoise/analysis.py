@@ -29,8 +29,9 @@ rho beyond float64); only such a caller loads mpmath.
 
 ``pulse_gammas`` gives the gain moments gamma_l of the link simulator's
 sampled, truncated RRC pulse for any composite model, and so the SIR
-that ``simulate_link`` measures; ``sir_for_pulse`` is its free-running
-case and tends to ``sir_from_rho`` for roll-off 0 and a long span.
+that ``simulate_link`` measures; ``sir_for_pulse`` is ``pulse_gammas`` of
+the free-running model with pi*amp*Ts = rho and tends to ``sir_from_rho``
+for roll-off 0 and a long span.
 """
 
 from __future__ import annotations
@@ -184,22 +185,6 @@ def sir_from_rho(rho_value) -> float:
     return gamma0(rho_value) / eta_isi(rho_value)
 
 
-def _pulse_gammas(rolloff: float, filter_span: int, osf: int, corr_m1) -> np.ndarray:
-    # pulse_gammas for R given as corr_m1(d) = R(d) - 1 at lags d >= 1:
-    # (sum q_l)^2 + sum_{d != 0} c_l[d] (R(d) - 1), with c_l the autocorrelation
-    # of q_l; accurate also where R is near 1 and sum q_l nearly cancels
-    h = rrc_taps(rolloff, filter_span, osf)
-    r = corr_m1(np.arange(1.0, h.size))
-    out = np.empty(filter_span + 1)
-    for lag in range(filter_span + 1):
-        q = h[lag * osf:] * h[:h.size - lag * osf]
-        size = 1 << (2 * q.size - 2).bit_length()  # c_l by FFT without circular wrap
-        qf = np.fft.rfft(q, size)
-        c = np.fft.irfft(qf.real ** 2 + qf.imag ** 2, size)[1:q.size]
-        out[lag] = (q.sum() ** 2 + 2.0 * np.dot(c, r[:c.size])) / osf ** 2
-    return out
-
-
 def pulse_gammas(model, ts: float, rolloff: float, filter_span: int = 32,
                  osf: int = 5) -> np.ndarray:
     """Gain moments gamma_l = E{|g_l|^2}, l = 0 .. filter_span, of the ``ct``
@@ -212,22 +197,35 @@ def pulse_gammas(model, ts: float, rolloff: float, filter_span: int = 32,
     a = 0.  gamma_0 is the mean ``power_loss`` and gamma_0 / (2*sum(gamma[1:]))
     the SIR that ``simulate_link`` measures.
     """
-    def corr_m1(d):
-        var = np.zeros(d.size)
+    h = rrc_taps(rolloff, filter_span, osf)
+    d = np.arange(1.0, h.size)
+    var = np.zeros(d.size)
+    with np.errstate(over="ignore"):  # D = inf gives R - 1 = expm1(-inf) = -1, its limit
         for _, co in ar_sources(model, ts / osf):
             var += (co.sigma_u_sq * d if co.a == 1.0 else 2.0 * co.sigma_u_sq if co.a == 0.0
                     else -2.0 * co.stationary_variance * np.expm1(d * math.log(co.a)))
-        return np.expm1(-0.5 * var)
-
-    return _pulse_gammas(rolloff, filter_span, osf, corr_m1)
+    r = np.expm1(-0.5 * var)
+    # (sum q_l)^2 + sum_{d != 0} c_l[d] (R(d) - 1), with c_l the autocorrelation
+    # of q_l; accurate also where R is near 1 and sum q_l nearly cancels
+    out = np.empty(filter_span + 1)
+    for lag in range(filter_span + 1):
+        q = h[lag * osf:] * h[:h.size - lag * osf]
+        size = 1 << (2 * q.size - 2).bit_length()  # c_l by FFT without circular wrap
+        qf = np.fft.rfft(q, size)
+        c = np.fft.irfft(qf.real ** 2 + qf.imag ** 2, size)[1:q.size]
+        out[lag] = (q.sum() ** 2 + 2.0 * np.dot(c, r[:c.size])) / osf ** 2
+    return out
 
 
 def sir_for_pulse(rolloff: float, rho_value, filter_span: int = 32, osf: int = 5) -> float:
-    """SIR gamma_0 / sum_{l != 0} gamma_l of ``pulse_gammas`` for a free-running
-    phasor, R(d) = exp(-2*pi*rho*|d|/osf), linear."""
-    r = float(_coerce(rho_value))
-    g = _pulse_gammas(rolloff, filter_span, osf,
-                      lambda d: math.exp(-2.0 * math.pi * r / osf) ** d - 1.0)
+    """SIR gamma_0 / sum_{l != 0} gamma_l, linear, of ``pulse_gammas`` for the
+    free-running model with pi*amp*Ts = rho: R(d) = exp(-2*pi*rho*|d|/osf)."""
+    # from rho ~ 6*osf on, R(d) - 1 rounds to -1 at every lag d >= 1 and the SIR
+    # is constant; capping rho there keeps the increment variance 4*pi*rho/osf
+    # finite and changes no bit
+    r = min(float(_coerce(rho_value)), 8.0 * osf)
+    free = OscillatorParams(f3db=0.0, l100_sq=1.0 / math.pi, f_ref=1.0)  # pi*amp = 1
+    g = pulse_gammas(free, r, rolloff, filter_span, osf)  # at Ts = rho
     return float(g[0] / (2.0 * math.fsum(g[1:])))
 
 

@@ -259,6 +259,21 @@ def pulse_gammas_recursion(pulse: np.ndarray, osf: int, rho: float, nlag: int) -
     return g
 
 
+def sir_for_pulse_mp(pulse: np.ndarray, osf: int, rho: float, nlag: int):
+    """gamma_0 / (2 * sum_{l=1..nlag} gamma_l) of a sampled pulse for a
+    free-running phasor, each gamma_l the plain double sum
+    sum_{n,m} q_l[n] q_l[m] R(n - m) in mpmath, with q_l[n] = h[n] h[n - l*osf]
+    and R(d) = exp(-2*pi*rho*|d|/osf)."""
+    h = [mp.mpf(float(x)) for x in pulse]
+    corr = [mp.exp(-2 * mp.pi * mp.mpf(rho) * d / osf) for d in range(len(h))]
+    g = []
+    for lag in range(nlag + 1):
+        q = [a * b for a, b in zip(h[lag * osf:], h)]
+        g.append(mp.fsum(q[n] * q[m] * corr[abs(n - m)]
+                         for n in range(len(q)) for m in range(len(q))))
+    return g[0] / (2 * mp.fsum(g[1:]))
+
+
 def rrc_taps_loop(rolloff: float, span_symbols: int, osf: int) -> np.ndarray:
     """Root-raised-cosine taps evaluated tap by tap with scalar math.
 

@@ -230,8 +230,23 @@ class TestSirForPulse:
     def test_mpmath_argument(self):
         assert sir_for_pulse(0.3, mp.mpf("1e-3")) == sir_for_pulse(0.3, 1e-3)
 
+    def test_mpmath_double_sum(self):
+        # R(d) - 1 = expm1(-2*pi*rho*d/osf) keeps the small interference sum
+        # accurate where R is near 1
+        h = rrc_taps(0.3, 16, 2)
+        for r in np.logspace(-8, -3, 11):
+            want = oracles.sir_for_pulse_mp(h, 2, float(r), 16)
+            assert sir_for_pulse(0.3, float(r), 16, 2) == pytest.approx(float(want), rel=1e-14), r
+
+    @pytest.mark.parametrize("r", [30.0, 1e3, 1e306, 1.7e308])
+    def test_decorrelated_within_one_sample(self, r):
+        # R(d) - 1 rounds to -1 at every lag: the SIR of the pulse alone,
+        # also where 4*pi*rho/osf overflows
+        assert sir_for_pulse(0.3, r) == 4.255492328919912
+
     def test_decay_rounds_to_one(self):
-        # below rho ~ 1e-16 the kernel's decay exp(-2*pi*rho/osf) is 1.0
+        # below rho ~ 1e-16 the decay exp(-2*pi*rho/osf) rounds to 1.0, but
+        # R - 1 is taken by expm1
         sir = sir_for_pulse(0.3, 1e-18)
         assert math.isfinite(sir) and sir > sir_for_pulse(0.3, 1e-6)
 
@@ -289,6 +304,9 @@ class TestPulseGammas:
             pulse_gammas(SAT, 0.0, 0.3)
         with pytest.raises(ValueError, match="outside the model validity"):
             pulse_gammas(OscillatorParams.from_db(1e7, -88.0), self.TS, 0.3)
+        # a variogram that overflows to inf is R = 0 beyond lag 0, its limit
+        free = OscillatorParams(0.0, 1e-8)
+        assert np.array_equal(pulse_gammas(free, 1e304, 0.3), pulse_gammas(free, 1.0, 0.3))
 
 
 @settings(max_examples=200, deadline=None)

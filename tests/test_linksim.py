@@ -15,6 +15,7 @@ from scipy.signal import fftconvolve
 from scipy.special import erfc
 
 from phasenoise import (
+    CompositeGenerator,
     CompositeModel,
     Constellation,
     LinkConfig,
@@ -654,6 +655,29 @@ class TestChunking:
             prev = (centers[-1], phases[-1])
             pieces.append(linksim._derotate(rx[pos], pos.astype(float), centers, phases))
         assert np.array_equal(np.concatenate(pieces), whole[lay.info_positions])
+
+    def test_products_per_element_equal_the_whole_array(self):
+        # each element of the derotation and of the channel rounds alike
+        # alone and inside a long array, so that no chunk size moves a bit
+        n = 256
+        rng = np.random.default_rng(12)
+        rx = rng.standard_normal(2 * n).view(complex)
+        positions = np.sort(rng.uniform(0.0, 1000.0, n))
+        centers = np.linspace(-10.0, 1010.0, 9)
+        phases = rng.normal(0.0, 3.0, centers.size)
+        whole = linksim._derotate(rx, positions, centers, phases)
+        alone = [linksim._derotate(rx[i:i + 1], positions[i:i + 1], centers, phases)
+                 for i in range(n)]
+        assert np.concatenate(alone).tobytes() == whole.tobytes()
+
+        def impair(step):
+            pn = CompositeGenerator(WIENER_PLL, 1e-6, 21)
+            awgn = np.random.default_rng(22)
+            x = rx.copy()
+            for lo in range(0, n, step):
+                linksim._impair(x[lo:lo + step], None, pn, awgn, 0.05)
+            return x
+        assert impair(1).tobytes() == impair(n).tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 3 * 1512])
     def test_many_chunks_with_phase_noise_and_pilots(self, monkeypatch, chunk):
