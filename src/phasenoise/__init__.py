@@ -55,8 +55,6 @@ from .linksim import (
     Constellation,
     LinkConfig,
     LinkStats,
-    PilotLayout,
-    build_pilot_layout,
     measure_sir,
     pilot_phase_track,
     rrc_taps,
@@ -70,9 +68,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ArCoefficients", "CompositeGenerator", "CompositeModel", "Constellation",
     "FitResult", "LinkConfig", "LinkStats", "OscillatorParams",
-    "PhasorPsdValue", "PilotLayout", "PnStream", "PsdComparison",
-    "PsdEstimate", "THREEGPP_45GHZ", "ThreeGppParams",
-    "aliasing_variance", "ar_coefficients", "as_composite", "build_pilot_layout",
+    "PhasorPsdValue", "PnStream", "PsdComparison", "PsdEstimate", "THREEGPP_45GHZ",
+    "ThreeGppParams", "aliasing_variance", "ar_coefficients", "as_composite",
     "compare_psd", "composite_psd", "db", "eta", "eta_d",
     "eta_isi", "fit_composite", "fit_single", "gamma0", "gen_ar",
     "gen_composite", "gen_white_floor", "gen_wiener", "l0_sq_from_l100",

@@ -129,7 +129,9 @@ class LinkConfig:
     ``pn_mode`` selects where the phase noise enters: "ct" applies it on
     the oversampled waveform before the matched filter, "dt" applies it
     per symbol on the ideal symbol-rate channel, "none" disables it.
-    ``pilot_len = 0`` disables pilot tracking.
+    ``pilot_len = 0`` disables pilot tracking.  ``esn0_db`` lies in
+    [-1000, 1000] dB, where the noise variance is between 1e-100 and
+    1e100, or is None for no AWGN.
     """
 
     constellation: str = "qpsk"
@@ -151,6 +153,8 @@ class LinkConfig:
             if not (_is_number(v, kind) or (name == "esn0_db" and v is None)):
                 what = "an integer" if kind is numbers.Integral else "a finite number"
                 raise ValueError(f"{name} must be {what}, got {v!r}")
+        if self.esn0_db is not None and not -1000.0 <= self.esn0_db <= 1000.0:
+            raise ValueError(f"esn0_db must be in [-1000, 1000] dB, got {self.esn0_db!r}")
         if self.constellation not in ("qpsk", "qam16"):
             raise ValueError(f"unknown constellation {self.constellation!r}")
         if not (0.0 <= self.rolloff <= 1.0):
@@ -243,33 +247,6 @@ class LinkStats:
 # ---------------------------------------------------------------------------
 # pilot layout and tracking
 
-@dataclass(frozen=True)
-class PilotLayout:
-    """Positions of pilot fields and info symbols in the transmit sequence.
-
-    The sequence starts and ends with a pilot field so every info symbol
-    lies between two pilot-field centers.
-    """
-
-    pilot_len: int
-    pilot_period: int
-    n_info: int
-    field_starts: np.ndarray
-    info_positions: np.ndarray
-    n_tx: int
-
-    @property
-    def n_fields(self) -> int:
-        return len(self.field_starts)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return self.field_starts + (self.pilot_len - 1) / 2.0
-
-    def pilot_positions(self) -> np.ndarray:
-        return (self.field_starts[:, None] + np.arange(self.pilot_len)[None, :]).ravel()
-
-
 def _layout(starts: np.ndarray, ends: np.ndarray, closes: np.ndarray, pilot_len: int):
     """Transmit layout of the consecutive pieces [starts[i], ends[i]) of the
     information symbols: a piece is followed by a pilot field where
@@ -287,21 +264,19 @@ def _layout(starts: np.ndarray, ends: np.ndarray, closes: np.ndarray, pilot_len:
     return fields, np.flatnonzero(is_info), is_info.size
 
 
-def build_pilot_layout(n_info: int, pilot_len: int, pilot_period: int) -> PilotLayout:
-    starts = np.arange(0, max(n_info, 1), pilot_period)
-    fields, info, n_tx = _layout(starts, np.minimum(starts + pilot_period, n_info),
-                                 np.full(starts.size, pilot_len > 0), pilot_len)
-    return PilotLayout(pilot_len, pilot_period, n_info, fields, info, n_tx)
-
-
-def _field_phases(fields_rx: np.ndarray, pilots: np.ndarray, centers: np.ndarray,
-                  prev: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-field (row) ML phase estimates at ``centers``, unwrapped onward
-    from ``prev``, the (center, phase) of the field before them, or None
-    at the start of the sequence.  Returns (centers, phases, count of
-    jumps above pi/2), with ``prev`` leading the first two."""
-    conj_pilots = np.conj(pilots)  # named: see _derotate on operand order
-    raw = np.angle(np.sum(fields_rx * conj_pilots, axis=1))
+def _field_phases(rx: np.ndarray, tx: np.ndarray, starts: np.ndarray, pilot_len: int,
+                  offset: int, prev: tuple[float, float] | None
+                  ) -> tuple[np.ndarray, np.ndarray, int]:
+    """ML phase estimates of the pilot fields at ``starts`` of ``rx``, whose
+    pilots ``tx`` holds, at the fields' centers (``offset`` plus their
+    position), unwrapped onward from ``prev``, the (center, phase) of the
+    field before them, or None at the start of the sequence.  Returns
+    (centers, phases, count of jumps above pi/2), with ``prev`` leading
+    the first two."""
+    idx = starts[:, None] + np.arange(pilot_len)[None, :]
+    # a product into a new array, never in place: see _derotate
+    raw = np.angle(np.sum(np.multiply(rx[idx], np.conj(tx[idx])), axis=1))
+    centers = offset + starts + (pilot_len - 1) / 2.0
     phi = np.empty_like(raw)
     flags = 0
     last = raw[0] if prev is None else prev[1]
@@ -328,23 +303,25 @@ def _derotate(rx: np.ndarray, positions: np.ndarray, centers: np.ndarray,
     return np.multiply(_phasor(-np.interp(positions, centers, phases)), rx)
 
 
-def pilot_phase_track(rx: np.ndarray, layout: PilotLayout,
-                      pilot_symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def pilot_phase_track(rx: np.ndarray, tx: np.ndarray, field_starts: np.ndarray,
+                      pilot_len: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Pilot-aided phase correction by interpolation between field estimates.
 
-    Per-field ML phase estimate arg sum(y * conj(x)), unwrapped by
-    nearest-multiple-of-2*pi continuation across fields, linearly
-    interpolated over the whole sequence and applied as exp(-j*phi).
+    ``rx`` is the received sequence, and ``tx`` holds its pilots, the
+    only symbols read from it, in the fields of ``pilot_len`` symbols at
+    ``field_starts``.  Per-field ML phase estimate arg sum(y * conj(x)),
+    unwrapped by nearest-multiple-of-2*pi continuation across fields,
+    linearly interpolated over the whole sequence and applied as
+    exp(-j*phi).
 
     Returns (corrected sequence, unwrapped per-field estimates, count of
-    inter-field jumps above pi/2 which signal unwrap ambiguity).
+    inter-field jumps above pi/2 which signal unwrap ambiguity); without
+    fields, ``rx`` itself is returned uncorrected.
     """
-    if layout.pilot_len == 0:
+    if len(field_starts) == 0:
         return rx, np.empty(0), 0
-    idx = layout.field_starts[:, None] + np.arange(layout.pilot_len)[None, :]
-    pil = pilot_symbols.reshape(layout.n_fields, layout.pilot_len)
-    centers, phases, flags = _field_phases(rx[idx], pil, layout.centers, None)
-    return _derotate(rx, np.arange(layout.n_tx, dtype=float), centers, phases), phases, flags
+    centers, phases, flags = _field_phases(rx, tx, field_starts, pilot_len, 0, None)
+    return _derotate(rx, np.arange(rx.size, dtype=float), centers, phases), phases, flags
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +490,6 @@ class _TxChunk:
     info: np.ndarray      # positions of the information symbols in tx
     bits: np.ndarray      # bool (information symbols, bits per symbol)
     fields: np.ndarray    # positions of the pilot-field starts in tx
-    pilots: np.ndarray    # (fields, pilot_len) pilot symbols
 
 
 def _piece_starts(lo: int, hi: int, run: int) -> np.ndarray:
@@ -526,9 +502,12 @@ def _piece_starts(lo: int, hi: int, run: int) -> np.ndarray:
 
 
 def _tx_chunks(cfg: LinkConfig, const: Constellation):
-    """Draw the transmit sequence chunk by chunk, in the layout of
-    ``build_pilot_layout`` and in the draw order of one whole-run draw.
-    Without pilots the information symbols are one run."""
+    """Draw the transmit sequence chunk by chunk, in the draw order of one
+    whole-run draw.  A pilot field of ``pilot_len`` symbols opens the
+    sequence; the information symbols follow in runs of ``pilot_period``,
+    each closed by a field, the last run shorter if need be.  So every
+    information symbol lies between two field centers.  Without pilots
+    the information symbols are one run and there are no fields."""
     bits_rng = _sub_rng(cfg.seed, _SEED_BITS)
     pilot_rng = _sub_rng(cfg.seed, _SEED_PILOTS)
     qpsk = Constellation("qpsk")
@@ -543,14 +522,13 @@ def _tx_chunks(cfg: LinkConfig, const: Constellation):
         tx_len = np.cumsum(e - s + plen * closes) + (plen if lo == 0 else 0)
         m = max(1, int(np.searchsorted(tx_len, CHUNK_SYMBOLS, side="right")))
         fields, info, size = _layout(s[:m], e[:m], closes[:m], plen)
-        field_idx = fields[:, None] + np.arange(plen)[None, :]
         # the int64 draws are let go at once; the chunk keeps them as bool
         bits = bits_rng.integers(0, 2, (info.size, const.bits_per_symbol)).astype(bool)
         tx = np.empty(size, dtype=complex)
         tx[info] = const.map_bits(bits)
-        pilots = qpsk.map_bits(pilot_rng.integers(0, 2, (field_idx.size, 2)))
-        tx[field_idx.ravel()] = pilots
-        yield _TxChunk(start, lo, tx, info, bits, fields, pilots.reshape(field_idx.shape))
+        tx[(fields[:, None] + np.arange(plen)[None, :]).ravel()] = qpsk.map_bits(
+            pilot_rng.integers(0, 2, (fields.size * plen, 2)))
+        yield _TxChunk(start, lo, tx, info, bits, fields)
         start, lo = start + tx.size, int(e[m - 1])
 
 
@@ -690,9 +668,7 @@ def simulate_link(cfg: LinkConfig) -> LinkStats:
         # information symbols before the chunk's last field
         k = int(np.searchsorted(ch.info, ch.fields[-1])) if ch.fields.size else 0
         if ch.fields.size:
-            centers, phases, flags = _field_phases(
-                y[ch.fields[:, None] + np.arange(plen)[None, :]], ch.pilots,
-                ch.start + ch.fields + (plen - 1) / 2.0, prev)
+            centers, phases, flags = _field_phases(y, ch.tx, ch.fields, plen, ch.start, prev)
             prev = (centers[-1], phases[-1])
             unwrap_flags += flags
             # positions are passed unnamed, so that none outlives its chunk

@@ -382,6 +382,25 @@ def oversampled_chain(seq: np.ndarray, taps: np.ndarray, osf: int, theta: np.nda
     return y_full[peaks], g0_full[peaks]
 
 
+def pilot_layout(n_info: int, pilot_len: int, pilot_period: int
+                 ) -> tuple[np.ndarray, np.ndarray, int]:
+    """(field starts, information positions, length) of a link's transmit
+    sequence, laid out one symbol at a time: a pilot field of ``pilot_len``
+    symbols opens it and follows every ``pilot_period``-th information
+    symbol and the last one.  Without pilots there are no fields."""
+    fields, info, pos = [], [], 0
+    if pilot_len:
+        fields.append(pos)
+        pos += pilot_len
+    for k in range(1, n_info + 1):
+        info.append(pos)
+        pos += 1
+        if pilot_len and (k % pilot_period == 0 or k == n_info):
+            fields.append(pos)
+            pos += pilot_len
+    return np.array(fields, dtype=int), np.array(info, dtype=int), pos
+
+
 # Gray maps transcribed from the constellation definitions: per axis, the
 # QPSK bit 0/1 -> +1/-1, and the 16-QAM bit pairs 00,01,11,10 -> -3,-1,+1,+3
 _AXIS_LEVELS = {

@@ -1,6 +1,11 @@
-"""Public names: the package's ``__all__`` and the attributes the benchmark tracer wraps."""
+"""Public names: the package's ``__all__``, the attributes the benchmark tracer wraps
+and the names README's library example uses."""
 
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import phasenoise
@@ -44,3 +49,15 @@ def test_tracer_installs_and_restores():
     after = _attributes()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_readme_library_example_runs():
+    # README's python block, in a child where any warning is an error: the
+    # docs cite no removed name and the example warns of nothing
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (code,) = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    src = os.path.dirname(os.path.dirname(phasenoise.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr

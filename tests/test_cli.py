@@ -101,6 +101,18 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["ct", "dt"])
+    @pytest.mark.parametrize("esn0_db", ["-3050", "-3100", "-3300", "3090"])
+    def test_esn0_db_beyond_a_double_is_1(self, capsys, mode, esn0_db):
+        # these once escaped as numpy warnings, ZeroDivisionError or OverflowError
+        code, out, err = run_capture(capsys, [
+            "ber", "--pn", mode, "--f3db", "10", "--l100-db", "-88", "--linf-db", "-114",
+            "--n-symbols", "5000", f"--esn0-db={esn0_db}"])
+        assert code == 1
+        assert out == ""
+        assert err == ("phasenoise: error: esn0_db must be in [-1000, 1000] dB, "
+                       f"got {float(esn0_db)}\n")
+
     def test_unallocatable_grid_is_1(self, capsys):
         # 711 PiB exceeds any address space, so the allocation fails at once
         code, out, err = run_capture(capsys, ["psd", "--f3db", "10", "--l100-db", "-88",

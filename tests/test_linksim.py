@@ -20,7 +20,6 @@ from phasenoise import (
     Constellation,
     LinkConfig,
     OscillatorParams,
-    build_pilot_layout,
     gen_composite,
     measure_sir,
     member_seed,
@@ -274,33 +273,39 @@ class TestConstellations:
 class TestPilotTracking:
     def _setup(self, n_info=5000):
         rng = np.random.default_rng(5)
-        lay = build_pilot_layout(n_info, 36, 1476)
-        qpsk = Constellation("qpsk")
-        tx = qpsk.map_bits(rng.integers(0, 2, (lay.n_tx, 2)))
-        return lay, tx, tx[lay.pilot_positions()]
+        fields, info, n_tx = oracles.pilot_layout(n_info, 36, 1476)
+        tx = Constellation("qpsk").map_bits(rng.integers(0, 2, (n_tx, 2)))
+        return fields, info, tx
 
     def test_constant_offset_exact(self):
-        lay, tx, pil = self._setup()
-        corr, phi, flags = pilot_phase_track(tx * np.exp(1j * 0.7), lay, pil)
-        resid = np.abs(np.angle(corr * np.conj(tx)))[lay.info_positions]
+        fields, info, tx = self._setup()
+        pilots_only = tx.copy()
+        pilots_only[info] = np.nan  # the tracker reads tx only at the pilots
+        corr, phi, flags = pilot_phase_track(tx * np.exp(1j * 0.7), pilots_only, fields, 36)
+        resid = np.abs(np.angle(corr * np.conj(tx)))[info]
         assert resid.max() < 1e-9
+        assert np.allclose(phi, 0.7, rtol=0, atol=1e-12) and phi.size == fields.size
         assert flags == 0
 
     def test_linear_ramp_exact_at_data(self):
-        lay, tx, pil = self._setup()
-        ramp = 1e-4 * np.arange(lay.n_tx)
-        corr, _, _ = pilot_phase_track(tx * np.exp(1j * ramp), lay, pil)
-        resid = np.abs(np.angle(corr * np.conj(tx)))[lay.info_positions]
+        fields, info, tx = self._setup()
+        ramp = 1e-4 * np.arange(tx.size)
+        corr, _, _ = pilot_phase_track(tx * np.exp(1j * ramp), tx, fields, 36)
+        resid = np.abs(np.angle(corr * np.conj(tx)))[info]
         assert resid.max() < 1e-6
 
     @pytest.mark.filterwarnings("error")  # the flags are reported on the result only
     def test_unwrap_flag_on_large_jump(self):
-        lay, tx, pil = self._setup(3000)
+        fields, _, tx = self._setup(3000)
         # phase steps by 2 rad between consecutive fields
-        steps = np.repeat(np.arange(lay.n_fields) * 2.0, 1)
-        phase = np.interp(np.arange(lay.n_tx), lay.centers, steps)
-        _, _, flags = pilot_phase_track(tx * np.exp(1j * phase), lay, pil)
+        phase = np.interp(np.arange(tx.size), fields + 17.5, 2.0 * np.arange(fields.size))
+        _, _, flags = pilot_phase_track(tx * np.exp(1j * phase), tx, fields, 36)
         assert flags > 0
+
+    def test_no_fields_returns_rx(self):
+        rx = np.exp(1j * np.arange(10.0))
+        corr, phi, flags = pilot_phase_track(rx, rx, np.empty(0, dtype=int), 36)
+        assert corr is rx and phi.size == 0 and flags == 0
 
     def test_wiener_tracking_residual_baseline(self):
         # regression baseline for random-walk phase tracked with 36/1476
@@ -517,6 +522,17 @@ class TestConfig:
             LinkConfig.from_json('{"esn0_db": NaN}')
         assert LinkConfig(seed=2 ** 1100).seed == 2 ** 1100  # no isfinite on integers
 
+    @pytest.mark.parametrize("mode", ["ct", "dt"])
+    def test_esn0_db_range_edges_run_clean(self, mode):
+        # at -1000 and 1000 dB the noise variance is 1e100 and 1e-100; no numpy warning escapes
+        for esn0_db in (-1000.0, 1000.0):
+            stats = simulate_link(LinkConfig(n_symbols=2000, pn_mode=mode, pn_model=SAT,
+                                             esn0_db=esn0_db, pilot_len=36, pilot_period=500))
+            assert all(math.isfinite(v) for v in dataclasses.astuple(stats))
+        for esn0_db in (-1000.5, 1000.5):
+            with pytest.raises(ValueError, match="esn0_db must be in"):
+                LinkConfig(esn0_db=esn0_db)
+
     def test_determinism(self):
         cfg = LinkConfig(constellation="qpsk", rolloff=0.3, osf=5,
                          n_symbols=30_000, ts=1e-7, pn_mode="ct",
@@ -589,9 +605,10 @@ class TestChunking:
             assert ch.info_start in linksim._piece_starts(ch.info_start, n_symbols, run)
             assert ch.start + ch.tx.size == whole.tx.size or \
                 ch.info_start + ch.info.size in linksim._piece_starts(0, n_symbols, run)
-        lay = build_pilot_layout(n_symbols, cfg.pilot_len, cfg.pilot_period)
-        assert np.array_equal(whole.fields, lay.field_starts)
-        assert np.array_equal(whole.info, lay.info_positions)
+        fields, info, n_tx = oracles.pilot_layout(n_symbols, cfg.pilot_len, cfg.pilot_period)
+        assert np.array_equal(whole.fields, fields)
+        assert np.array_equal(whole.info, info)
+        assert whole.tx.size == n_tx
 
     @pytest.mark.parametrize("mode,n_symbols,pilot_len,seed", [
         pytest.param("dt", 30_000, 20, 4, id="dt"),
@@ -652,22 +669,19 @@ class TestChunking:
     def test_tracking_in_pieces_matches_one_pass(self):
         # frame by frame, carrying the last field, against one pass over a
         # sequence long enough for numpy to evaluate products in place
-        lay = build_pilot_layout(60_000, 36, 1476)
+        fields, info, n_tx = oracles.pilot_layout(60_000, 36, 1476)
         rng = np.random.default_rng(8)
-        tx = Constellation("qpsk").map_bits(rng.integers(0, 2, (lay.n_tx, 2)))
-        rx = tx * np.exp(1j * np.cumsum(rng.normal(0.0, 0.01, lay.n_tx)))
-        pil = tx[lay.pilot_positions()].reshape(lay.n_fields, lay.pilot_len)
-        whole, _, _ = pilot_phase_track(rx, lay, pil.ravel())
-        idx = lay.field_starts[:, None] + np.arange(lay.pilot_len)[None, :]
+        tx = Constellation("qpsk").map_bits(rng.integers(0, 2, (n_tx, 2)))
+        rx = tx * np.exp(1j * np.cumsum(rng.normal(0.0, 0.01, n_tx)))
+        whole, _, _ = pilot_phase_track(rx, tx, fields, 36)
         pieces, prev = [], None
-        for k in range(lay.n_fields - 1):  # info run k lies between fields k and k+1
-            fields = [k, k + 1] if prev is None else [k + 1]
-            pos = np.arange(lay.field_starts[k] + lay.pilot_len, lay.field_starts[k + 1])
-            centers, phases, _ = linksim._field_phases(rx[idx[fields]], pil[fields],
-                                                       lay.centers[fields], prev)
+        for k in range(fields.size - 1):  # info run k lies between fields k and k+1
+            new = fields[[k, k + 1] if prev is None else [k + 1]]
+            pos = np.arange(fields[k] + 36, fields[k + 1])
+            centers, phases, _ = linksim._field_phases(rx, tx, new, 36, 0, prev)
             prev = (centers[-1], phases[-1])
             pieces.append(linksim._derotate(rx[pos], pos.astype(float), centers, phases))
-        assert np.array_equal(np.concatenate(pieces), whole[lay.info_positions])
+        assert np.array_equal(np.concatenate(pieces), whole[info])
 
     def test_products_per_element_equal_the_whole_array(self):
         # each element of the derotation and of the channel rounds alike
