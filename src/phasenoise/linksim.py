@@ -3,8 +3,10 @@
 Linear modulation with root-raised-cosine shaping, multiplicative phase
 noise applied either on the oversampled (continuous-time surrogate)
 waveform or directly on the symbol-rate samples, matched filtering,
-pilot-aided phase tracking, and SIR/EVM/BER/SER measurement.  One step
-(``_impair``) applies the phase noise and the AWGN in both channels.
+pilot-aided phase tracking, and SIR/EVM/BER/SER measurement.  The
+channels apply the phase noise only; the SIR is measured on their
+noiseless output, and one step then adds white AWGN at the symbol
+instants in every mode, as in the model y_k = x_k*exp(j*theta_k) + w_k.
 Shaping and one receive filter, overlap-save FFT blocks on ``numpy.fft``,
 interpolate and decimate by osf; the receive filter gives the matched
 filter output and the direct-path gain at only the symbol instants the
@@ -20,11 +22,11 @@ arrives, only copies of its received samples and bits are held.  So
 memory does not grow with ``n_symbols``, and with the pilot period only
 by those 16 + bits-per-symbol bytes per held symbol; the statistics are
 bit-identical at any chunk size.  The traced peak of a run at the default
-pilot period is 4.7 MiB in QPSK ``ct`` at osf 5, 2.8 MiB in 16-QAM ``dt``.
+pilot period is 4.4 MiB in QPSK ``ct`` at osf 5, 2.6 MiB in 16-QAM ``dt``.
 
 Conventions: unit average symbol energy, symbol period normalized inside
-the signal chain, complex AWGN with total post-matched-filter variance
-Es/N0^-1.  One run is single threaded and fully determined by its seed.
+the signal chain, complex AWGN of total variance Es/N0^-1 per symbol.
+One run is single threaded and fully determined by its seed.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .timegen import CompositeGenerator, gen_composite, member_seed  # noqa: F40
 SIR_CAP_DB = 80.0
 # sub-seed purposes, mixed with the master seed via member_seed
 _SEED_BITS, _SEED_PILOTS, _SEED_AWGN, _SEED_PN, _SEED_PAD = 101, 102, 103, 104, 105
+_SEED_AWGN_OS = 106  # the noise of ct and none, independent of a paired dt run's
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +190,9 @@ class LinkConfig:
     @classmethod
     def from_json(cls, text: str) -> "LinkConfig":
         d = _json_fields(json.loads(text), cls, "link config", extra=("version",))
-        d.pop("version", None)
+        version = d.pop("version", 1)
+        if not (_is_number(version, numbers.Integral) and version == 1):
+            raise ValueError(f"unsupported link config version {version!r}, expected 1")
         model = d.pop("pn_model", None)
         if model is not None:
             if not isinstance(model, list):
@@ -229,7 +234,13 @@ def _json_fields(obj, cls, what: str, extra: tuple = ()) -> dict:
 
 @dataclass(frozen=True)
 class LinkStats:
-    """Measured link outputs with confidence metadata."""
+    """Measured link outputs with confidence metadata.
+
+    ``sir_db`` and its 16-block standard error ``sir_se_db`` measure the
+    phase noise alone, on the noiseless channel output at the information
+    symbols; they read ``SIR_CAP_DB`` and 0 where the interference is below
+    the cap, as always in ``dt``, whose direct-path gain is the phasor.
+    """
 
     sir_db: float
     sir_se_db: float
@@ -383,14 +394,13 @@ def _sir_terms(x: np.ndarray, y: np.ndarray, gain) -> dict[str, np.ndarray]:
     return {"sig": np.abs(direct) ** 2, "intf": np.abs(y - direct) ** 2}
 
 
-def _sir_from_cells(cells: _CellSums, noise_power: float) -> tuple[float, float]:
+def _sir_from_cells(cells: _CellSums) -> tuple[float, float]:
     sig, intf = cells["sig"], cells["intf"]
 
     def _sir_db(s, i):
-        denom = i - noise_power
-        if denom <= s * 10 ** (-SIR_CAP_DB / 10.0):
+        if i <= s * 10 ** (-SIR_CAP_DB / 10.0):
             return SIR_CAP_DB
-        return 10.0 * math.log10(s / denom)
+        return 10.0 * math.log10(s / i)
 
     n, m = cells.n, cells.m
     total = _sir_db(float(np.sum(sig)) / n, float(np.sum(intf)) / n)
@@ -421,7 +431,7 @@ def measure_sir(tx_symbols: np.ndarray, rx_symbols: np.ndarray) -> tuple[float, 
         raise ValueError(f"need at least {_SIR_MIN_SYMBOLS} symbols, got {x.size}")
     cells = _CellSums(x.size)
     cells.add(0, **_sir_terms(x, y, np.vdot(x, y) / np.vdot(x, x)))
-    return _sir_from_cells(cells, 0.0)
+    return _sir_from_cells(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -436,17 +446,14 @@ _PIECE = 4096
 _BLOCK = 2048
 
 
-def _esn0(cfg: LinkConfig) -> float | None:
-    return None if cfg.esn0_db is None else 10.0 ** (cfg.esn0_db / 10.0)
-
-
 def _sub_rng(seed: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(member_seed(seed, purpose))
 
 
-def _complex_awgn(rng: np.random.Generator, n: int, variance: float) -> np.ndarray:
+def _complex_awgn(rng: np.random.Generator, n: int, esn0_db: float) -> np.ndarray:
+    """n complex normals of total variance 1/(Es/N0)."""
     w = rng.standard_normal(2 * n).view(complex)
-    w *= math.sqrt(variance / 2.0)
+    w *= math.sqrt(1.0 / 10.0 ** (esn0_db / 10.0) / 2.0)
     return w
 
 
@@ -532,40 +539,25 @@ def _tx_chunks(cfg: LinkConfig, const: Constellation):
         start, lo = start + tx.size, int(e[m - 1])
 
 
-def _impair(x: np.ndarray, phasor: np.ndarray | None, pn: CompositeGenerator | None,
-            awgn: np.random.Generator, variance: float | None) -> np.ndarray | None:
-    """Multiply ``x`` in place by the phasor of the next ``x.size`` samples of
-    ``pn``, then add complex AWGN of ``variance``, each skipped when None.
-    Returns the phasor, built in ``phasor`` or, if None, after the draw."""
-    if pn is not None:
-        phasor = _phasor(pn.take(x.size), out=phasor)
-        x[...] = x * phasor  # not ``x *= phasor``: see _derotate
-    if variance is not None:
-        x += _complex_awgn(awgn, x.size, variance)
-    return phasor
-
-
 def _symbol_rate(cfg: LinkConfig, chunks):
-    """``dt`` channel: phase noise and AWGN on the symbol-rate samples of
-    each chunk, yielded as (chunk, y, g0)."""
+    """``dt`` channel: the phase noise on the symbol-rate samples of each
+    chunk, yielded as (chunk, y_pn, g0), where g0 is the phasor itself."""
     pn = CompositeGenerator(cfg.pn_model, cfg.ts, member_seed(cfg.seed, _SEED_PN))
-    awgn = _sub_rng(cfg.seed, _SEED_AWGN)
-    variance = None if cfg.esn0_db is None else 1.0 / _esn0(cfg)
     for chunk in chunks:
-        y = chunk.tx.copy()
-        g0 = _impair(y, None, pn, awgn, variance)
-        yield chunk, y, g0
+        g0 = _phasor(pn.take(chunk.tx.size))
+        yield chunk, np.multiply(chunk.tx, g0), g0  # a new array: see _derotate
 
 
 def _oversampled(cfg: LinkConfig, chunks):
     """``ct``/``none`` channel: the oversampled chain, in FFT blocks, yielded
-    per chunk as (chunk, y, g0); a chunk needs only ``tx``.
+    per chunk as (chunk, y_pn, g0); a chunk needs only ``tx``.
 
     Pads ``span`` random QPSK symbols on each side so that every real
     symbol has full filter support, shapes by osf, applies the phasor
-    (``ct``) and AWGN on the waveform, and evaluates the matched filter and
-    the direct-path gain ``g0`` only at the symbol instants: real symbol
-    i peaks ``span`` symbol slots after the start of its own.
+    (``ct``) on the waveform, and evaluates the matched filter and the
+    direct-path gain ``g0`` only at the symbol instants: real symbol i
+    peaks ``span`` symbol slots after the start of its own.  The output
+    is noiseless: the AWGN enters at the symbol instants (simulate_link).
 
     Shaping and the receive filter are overlap-save FFT blocks on a grid
     of absolute positions that only ``_BLOCK`` (B) sets.  Block b shapes
@@ -600,12 +592,11 @@ def _oversampled(cfg: LinkConfig, chunks):
     rx = np.zeros((rows, hist + B * osf), dtype=complex)
     pn = None if rows == 1 else CompositeGenerator(
         cfg.pn_model, cfg.ts / osf, member_seed(cfg.seed, _SEED_PN))
-    awgn = _sub_rng(cfg.seed, _SEED_AWGN)
-    variance = None if cfg.esn0_db is None else osf / _esn0(cfg)
     # the waveform of the leading pads feeds only outputs that are
-    # dropped: its history stays zero, but its phasor and noise are
-    # drawn so that every later sample gets the same draws
-    _impair(np.zeros(hist, dtype=complex), None, pn, awgn, variance)
+    # dropped: its history stays zero, but its phase noise is drawn so
+    # that every later sample gets the same draws
+    if pn:
+        pn.take(hist)
     b = n_in = n_out = 0  # next block, real symbols received, real symbols filtered
     pending = deque()  # (chunk, its (rows, size) outputs, its first real symbol)
     for chunk in itertools.chain(chunks, [None]):
@@ -619,8 +610,10 @@ def _oversampled(cfg: LinkConfig, chunks):
             rx[:, hist + n:] = 0.0
             rx[0, hist:hist + n] = np.fft.ifft(
                 (h_tx * np.fft.fft(seq[:B + span], n_fft)).ravel())[hist:hist + n]
-            # the phasor goes to row 1 (``ct``); without phase noise it is unused
-            _impair(rx[0, hist:hist + n], rx[-1, hist:hist + n], pn, awgn, variance)
+            if pn:  # the phasor goes to row 1; not ``*=``: see _derotate
+                wave, phasor = rx[:, hist:hist + n]
+                _phasor(pn.take(n), out=phasor)
+                wave[...] = wave * phasor
             # outputs of real symbols lo .. lo+B-1, into the pending chunks they fall in
             lo = b * B - span
             for r, (row, spec) in enumerate(zip(rx, h_rx)):
@@ -657,11 +650,16 @@ def simulate_link(cfg: LinkConfig) -> LinkStats:
         n_sym_err += int(np.count_nonzero(wrong.view(f"u{const.bits_per_symbol}")))
 
     channel = _symbol_rate if cfg.pn_mode == "dt" else _oversampled
+    awgn = _sub_rng(cfg.seed, _SEED_AWGN if channel is _symbol_rate else _SEED_AWGN_OS)
     for ch, y, g0 in channel(cfg, _tx_chunks(cfg, const)):
-        x, y_info, g0_info = ch.tx[ch.info], y[ch.info], g0[ch.info]
-        # SIR on the untracked matched-filter output
-        cells.add(ch.info_start, **_sir_terms(x, y_info, g0_info),
-                  gain=np.abs(g0_info) ** 2, energy=np.abs(x) ** 2)
+        x = ch.tx[ch.info]
+        # SIR on the untracked, noiseless matched-filter output; the gathers
+        # are not named, so that none is held with the noise below
+        cells.add(ch.info_start, **_sir_terms(x, y[ch.info], g0[ch.info]),
+                  gain=np.abs(g0[ch.info]) ** 2, energy=np.abs(x) ** 2)
+        if cfg.esn0_db is not None:  # white noise at the symbol instants, pilots included
+            y += _complex_awgn(awgn, y.size, cfg.esn0_db)
+        y_info = y[ch.info]
         if not plen:
             settle(ch.info_start, y_info, ch.bits, x)
             continue
@@ -683,8 +681,7 @@ def simulate_link(cfg: LinkConfig) -> LinkStats:
             held.append((ch.start + ch.info[k], ch.info_start + k, y_info[k:].copy(),
                          ch.bits[k:].copy()))
 
-    esn0 = _esn0(cfg)
-    sir_db, sir_se = _sir_from_cells(cells, 0.0 if esn0 is None else 1.0 / esn0)
+    sir_db, sir_se = _sir_from_cells(cells)
     power_loss = cells.total("gain") / n
     evm = math.sqrt((cells.total("err") / n) / (cells.total("energy") / n))
     n_bits = n * const.bits_per_symbol

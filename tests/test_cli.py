@@ -843,16 +843,16 @@ class TestFit:
      "28caa09317bdd24b8b321b3ccd0f380534cbfefd0623daec236b8bcce0602d60"),
     (["ber", "--pn", "ct", "--f3db", "10", "--l100-db", "-88", "--linf-db", "-114",
       "--n-symbols", "20000", "--esn0-db", "8", "--seed", "5"],
-     "376676ec0c224733e40a7e95c036c77556655e91782da06313892ba622742281"),
+     "7e47df101cbbd1b999a94d6f5641c57827b9bfa4551578e56b3f8464bd9b1cf4"),
     (["ber", "--pn", "none", "--n-symbols", "20000", "--esn0-db", "6", "--seed", "5"],
-     "7acebdd4b29a907ad577b051030367e755179c233760a0b69ebf4235ecaa56bb"),
+     "254936571cb6c9fdca419846bf99012c3d29ec99a7404b713020afe848479275"),
     # 16-QAM over 150,000 symbols: many CHUNK_SYMBOLS chunks
     (["ber", "--constellation", "qam16", "--pn", "dt", "--f3db", "1000", "--l100-db", "-90",
       "--linf-db", "-120", "--n-symbols", "150000", "--esn0-db", "12,16", "--seed", "6"],
      "2ede961de6c1384ac9e257612702ac2dcfc1057b0df07b27c19bad1ba06fd609"),
     (["ber", "--constellation", "qam16", "--pn", "ct", "--f3db", "1000", "--l100-db", "-90",
       "--linf-db", "-120", "--n-symbols", "150000", "--esn0-db", "12,16", "--seed", "6"],
-     "6bcba214cf501f55d65efe3817e986987c007d10ce191072390223b5e4af92e9"),
+     "5fb8e8621b823b722904f6794e86a27644955e24fdb6da1d3cc7f28e77f71089"),
     # a random walk: the estimate is flagged nonstationary
     (["validate", "--f3db", "0", "--l100-db", "-100", "--ts", "1e-7", "--n", "65536"],
      "369347cceed10e803fdf9bf6d016ec079a39fcccf2400a616e907f16c89c808b"),
